@@ -195,3 +195,13 @@ let file_sink path =
   }
 
 let stdout_sink () = jsonl_sink stdout
+
+(* FNV-1a over each event's JSON rendering, chained across events. *)
+let digest_sink () =
+  let digest = ref 0x811c9dc5 in
+  let emit ev =
+    String.iter
+      (fun c -> digest := (!digest lxor Char.code c) * 0x100000001b3)
+      (to_json ev)
+  in
+  ({ emit; close = ignore }, fun () -> !digest)

@@ -89,6 +89,12 @@ val file_sink : string -> sink
 
 val stdout_sink : unit -> sink
 
+(** [digest_sink ()] is a sink plus a function returning the running
+    digest of everything it has received: FNV-1a over each event's
+    {!to_json} rendering, in emission order. Two runs that emit the same
+    JSONL stream have the same digest. *)
+val digest_sink : unit -> sink * (unit -> int)
+
 (** One-line JSON rendering: [{"t":…,"cat":"…","ev":"…",<fields>}]. NaN
     renders as [null]. *)
 val to_json : event -> string

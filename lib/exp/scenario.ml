@@ -124,7 +124,7 @@ let run_mixed p =
       ~queue:p.queue ()
   in
   let drop_times = ref [] in
-  Netsim.Dumbbell.on_forward_drop db (fun _ ->
+  Netsim.Link.on_drop (Netsim.Dumbbell.forward_link db) (fun _ ->
       drop_times := Engine.Sim.now sim :: !drop_times);
   let draw_rtt () = Engine.Rng.uniform rng p.rtt_min p.rtt_max in
   let draw_start () = Engine.Rng.float rng (Float.max 1e-3 p.start_spread) in

@@ -46,9 +46,10 @@ let graph_endpoints ~nodes ~flow =
   let dst = (flow + max 1 (nodes / 2)) mod nodes in
   if dst = src then (src, (src + 1) mod nodes) else (src, dst)
 
-let build_net ~builders sim (sc : Scenario.t) =
-  match (sc.topology, builders) with
-  | Scenario.Dumbbell, _ ->
+let build_net sim (sc : Scenario.t) =
+  let rt = Engine.Sim.runtime sim in
+  match sc.topology with
+  | Scenario.Dumbbell ->
       let queue =
         match sc.queue with
         | Scenario.Droptail limit -> Netsim.Dumbbell.Droptail_q limit
@@ -56,47 +57,26 @@ let build_net ~builders sim (sc : Scenario.t) =
             Netsim.Dumbbell.Red_q
               (Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit ())
       in
-      let rt = Engine.Sim.runtime sim in
-      (match builders with
-      | `Legacy ->
-          let db =
-            Netsim.Dumbbell.create rt ~bandwidth:sc.bandwidth ~delay:sc.delay
-              ~queue ()
-          in
-          List.iteri
-            (fun flow (f : Scenario.flow) ->
-              Netsim.Dumbbell.add_flow db ~flow ~rtt_base:f.rtt_base)
-            sc.flows;
-          {
-            src_sender = (fun ~flow -> Netsim.Dumbbell.src_sender db ~flow);
-            dst_sender = (fun ~flow -> Netsim.Dumbbell.dst_sender db ~flow);
-            set_src_recv =
-              (fun ~flow h -> Netsim.Dumbbell.set_src_recv db ~flow h);
-            set_dst_recv =
-              (fun ~flow h -> Netsim.Dumbbell.set_dst_recv db ~flow h);
-            links =
-              [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ];
-          }
-      | `Graph ->
-          let module G = Netsim.Topo_builders.Graph_dumbbell in
-          let db =
-            G.create rt ~bandwidth:sc.bandwidth ~delay:sc.delay ~queue ()
-          in
-          List.iteri
-            (fun flow (f : Scenario.flow) ->
-              G.add_flow db ~flow ~rtt_base:f.rtt_base)
-            sc.flows;
-          {
-            src_sender = (fun ~flow -> G.src_sender db ~flow);
-            dst_sender = (fun ~flow -> G.dst_sender db ~flow);
-            set_src_recv = (fun ~flow h -> G.set_src_recv db ~flow h);
-            set_dst_recv = (fun ~flow h -> G.set_dst_recv db ~flow h);
-            links = [ G.forward_link db; G.reverse_link db ];
-          })
-  | (Scenario.Path | Scenario.Parking_lot _), `Legacy ->
+      let db =
+        Netsim.Dumbbell.create rt ~bandwidth:sc.bandwidth ~delay:sc.delay ~queue
+          ()
+      in
+      List.iteri
+        (fun flow (f : Scenario.flow) ->
+          Netsim.Dumbbell.add_flow db ~flow ~rtt_base:f.rtt_base)
+        sc.flows;
+      {
+        src_sender = Netsim.Dumbbell.src_sender db;
+        dst_sender = Netsim.Dumbbell.dst_sender db;
+        set_src_recv = Netsim.Dumbbell.set_src_recv db;
+        set_dst_recv = Netsim.Dumbbell.set_dst_recv db;
+        links =
+          [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ];
+      }
+  | Scenario.Path | Scenario.Parking_lot _ ->
       let hops = Scenario.hops sc in
       let pl =
-        Netsim.Parking_lot.create (Engine.Sim.runtime sim) ~hops ~bandwidth:sc.bandwidth
+        Netsim.Parking_lot.create rt ~hops ~bandwidth:sc.bandwidth
           ~delay:sc.delay ~queue:(make_queue sc sim) ()
       in
       List.iteri
@@ -109,40 +89,17 @@ let build_net ~builders sim (sc : Scenario.t) =
               Netsim.Parking_lot.add_through_flow pl ~flow ~rtt_base:f.rtt_base)
         sc.flows;
       {
-        src_sender = (fun ~flow -> Netsim.Parking_lot.src_sender pl ~flow);
-        dst_sender = (fun ~flow -> Netsim.Parking_lot.dst_sender pl ~flow);
-        set_src_recv =
-          (fun ~flow h -> Netsim.Parking_lot.set_src_recv pl ~flow h);
-        set_dst_recv =
-          (fun ~flow h -> Netsim.Parking_lot.set_dst_recv pl ~flow h);
+        src_sender = Netsim.Parking_lot.src_sender pl;
+        dst_sender = Netsim.Parking_lot.dst_sender pl;
+        set_src_recv = Netsim.Parking_lot.set_src_recv pl;
+        set_dst_recv = Netsim.Parking_lot.set_dst_recv pl;
         links =
           List.init hops (fun i -> Netsim.Parking_lot.link pl ~hop:(i + 1));
       }
-  | (Scenario.Path | Scenario.Parking_lot _), `Graph ->
-      let module G = Netsim.Topo_builders.Graph_parking_lot in
-      let hops = Scenario.hops sc in
-      let pl =
-        G.create (Engine.Sim.runtime sim) ~hops ~bandwidth:sc.bandwidth
-          ~delay:sc.delay ~queue:(make_queue sc sim) ()
-      in
-      List.iteri
-        (fun flow (f : Scenario.flow) ->
-          match f.hop with
-          | Some hop -> G.add_cross_flow pl ~flow ~hop ~rtt_base:f.rtt_base
-          | None -> G.add_through_flow pl ~flow ~rtt_base:f.rtt_base)
-        sc.flows;
-      {
-        src_sender = (fun ~flow -> G.src_sender pl ~flow);
-        dst_sender = (fun ~flow -> G.dst_sender pl ~flow);
-        set_src_recv = (fun ~flow h -> G.set_src_recv pl ~flow h);
-        set_dst_recv = (fun ~flow h -> G.set_dst_recv pl ~flow h);
-        links = List.init hops (fun i -> G.link pl ~hop:(i + 1));
-      }
-  | Scenario.Graph { nodes; extra }, _ ->
+  | Scenario.Graph { nodes; extra } ->
       (* Routed graph: [nodes] routers on a bidirectional ring plus
          [extra] bidirectional chords; feedback shares the graph (no
          dedicated reverse path), so routing is exercised both ways. *)
-      let rt = Engine.Sim.runtime sim in
       let topo = Netsim.Topology.create rt () in
       let routers = Array.init nodes (fun _ -> Netsim.Topology.add_node topo) in
       let links = ref [] in
@@ -174,19 +131,14 @@ let build_net ~builders sim (sc : Scenario.t) =
             Float.max 0.
               (((f.rtt_base /. 2.) -. (float_of_int nodes *. sc.delay)) /. 2.)
           in
-          let host r =
-            let h = Netsim.Topology.add_node topo in
-            ignore (Netsim.Topology.add_wire topo ~src:h ~dst:routers.(r) access);
-            ignore (Netsim.Topology.add_wire topo ~src:routers.(r) ~dst:h access);
-            h
-          in
-          Netsim.Topology.add_flow topo ~flow ~src:(host src_r) ~dst:(host dst_r))
+          Netsim.Topology.add_flow topo ~flow ~src:routers.(src_r)
+            ~dst:routers.(dst_r) access)
         sc.flows;
       {
-        src_sender = (fun ~flow -> Netsim.Topology.src_sender topo ~flow);
-        dst_sender = (fun ~flow -> Netsim.Topology.dst_sender topo ~flow);
-        set_src_recv = (fun ~flow h -> Netsim.Topology.set_src_recv topo ~flow h);
-        set_dst_recv = (fun ~flow h -> Netsim.Topology.set_dst_recv topo ~flow h);
+        src_sender = Netsim.Topology.src_sender topo;
+        dst_sender = Netsim.Topology.dst_sender topo;
+        set_src_recv = Netsim.Topology.set_src_recv topo;
+        set_dst_recv = Netsim.Topology.set_dst_recv topo;
         links = List.rev !links;
       }
 
@@ -214,24 +166,17 @@ type run_stats = {
   r_tail : string list;
 }
 
-let fnv_prime = 0x100000001b3
-let fnv_offset = 0x811c9dc5
-
-let run_once ~mutate ~builders (sc : Scenario.t) =
+let run_once ?sink ~mutate (sc : Scenario.t) =
   let bus = Engine.Trace.create ~ring:40 () in
   let checker = Tfrc.Invariants.create () in
   Tfrc.Invariants.attach checker bus;
-  let digest = ref fnv_offset in
-  let mix s =
-    String.iter (fun c -> digest := (!digest lxor Char.code c) * fnv_prime) s
-  in
-  Engine.Trace.add_sink bus
-    { Engine.Trace.emit = (fun ev -> mix (Engine.Trace.to_json ev));
-      close = ignore };
+  let digest_sink, digest = Engine.Trace.digest_sink () in
+  Engine.Trace.add_sink bus digest_sink;
+  Option.iter (Engine.Trace.add_sink bus) sink;
   let sim = Engine.Sim.create ~trace:bus () in
   let rng = Engine.Rng.create ~seed:sc.sim_seed in
   let now () = Engine.Sim.now sim in
-  let net = build_net ~builders sim sc in
+  let net = build_net sim sc in
   let bottleneck = List.hd net.links in
   (* Link-level faults hit the first congested link (the dumbbell's
      forward bottleneck / the parking lot's first hop). *)
@@ -454,13 +399,13 @@ let run_once ~mutate ~builders (sc : Scenario.t) =
     r_failures = failures;
     r_events = Engine.Trace.emitted bus;
     r_delivered = !delivered;
-    r_digest = !digest;
+    r_digest = digest ();
     r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
   }
 
-let run ?(mutate = false) ?(builders = `Legacy) sc =
-  let a = run_once ~mutate ~builders sc in
-  let b = run_once ~mutate ~builders sc in
+let run ?(mutate = false) sc =
+  let a = run_once ~mutate sc in
+  let b = run_once ~mutate sc in
   let determinism =
     if
       a.r_digest = b.r_digest && a.r_events = b.r_events
@@ -486,6 +431,8 @@ let run ?(mutate = false) ?(builders = `Legacy) sc =
     digest = a.r_digest;
     tail = a.r_tail;
   }
+
+let trace sc sink = ignore (run_once ~sink ~mutate:false sc : run_stats)
 
 let failed_oracles o =
   List.fold_left

@@ -42,14 +42,16 @@ val oracle_names : string list
     [--mutate] self-test to prove the fuzzer detects and shrinks real
     violations.
 
-    [builders] picks the network construction for [Path]/[Dumbbell]/
-    [Parking_lot] scenarios: [`Legacy] (default) uses the hand-wired
-    builders, [`Graph] the {!Netsim.Topo_builders} graph equivalents.
-    The two must produce byte-identical traces — the differential tests
-    compare their outcomes on the same scenario. [Graph] scenarios are
-    always built on {!Netsim.Topology} regardless. *)
-val run :
-  ?mutate:bool -> ?builders:[ `Legacy | `Graph ] -> Scenario.t -> outcome
+    All three topologies are built by the one network construction,
+    {!Netsim.Topology}: [Path] and [Parking_lot] through
+    {!Netsim.Parking_lot}, [Dumbbell] through {!Netsim.Dumbbell}, [Graph]
+    directly. *)
+val run : ?mutate:bool -> Scenario.t -> outcome
+
+(** [trace sc sink] runs the scenario once, exactly as each of [run]'s
+    two runs does, with [sink] attached to its trace bus. Golden tests
+    record the run's JSONL text this way. *)
+val trace : Scenario.t -> Engine.Trace.sink -> unit
 
 (** [failed_oracles o] is the distinct failing oracle names, in order. *)
 val failed_oracles : outcome -> string list

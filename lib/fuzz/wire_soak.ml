@@ -160,9 +160,6 @@ type run_stats = {
   r_tail : string list;
 }
 
-let fnv_prime = 0x100000001b3
-let fnv_offset = 0x811c9dc5
-
 (* Supervisor thresholds tuned for soak time scales: quick health
    sampling, short bounded backoff so several death/restart cycles fit
    in one fault window. *)
@@ -179,15 +176,8 @@ let run_once ~mutate (c : case) =
   let bus = Engine.Trace.create ~ring:40 () in
   let checker = Tfrc.Invariants.create () in
   Tfrc.Invariants.attach checker bus;
-  let digest = ref fnv_offset in
-  let mix s =
-    String.iter (fun ch -> digest := (!digest lxor Char.code ch) * fnv_prime) s
-  in
-  Engine.Trace.add_sink bus
-    {
-      Engine.Trace.emit = (fun ev -> mix (Engine.Trace.to_json ev));
-      close = ignore;
-    };
+  let digest_sink, digest = Engine.Trace.digest_sink () in
+  Engine.Trace.add_sink bus digest_sink;
   let loop = Wire.Loop.create ~trace:bus ~mode:`Warp () in
   let rt = Wire.Loop.runtime loop in
   let snd_fio =
@@ -515,7 +505,7 @@ let run_once ~mutate (c : case) =
     r_events = Engine.Trace.emitted bus;
     r_delivered = delivered;
     r_injected = injected;
-    r_digest = !digest;
+    r_digest = digest ();
     r_counters = counters;
     r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
   }

@@ -7,10 +7,14 @@
     same bandwidth carries acknowledgements/feedback (and optional
     reverse-path traffic).
 
-    Per-flow wiring: an agent on the left sends with [src_send] and receives
-    reverse packets through the handler registered with [set_src_recv]; the
-    right-side agent uses [dst_send]/[set_dst_recv]. Per-flow access delay
-    sets the base RTT. *)
+    Built on {!Topology}: routers 0 (left) and 1 (right) joined by the two
+    bottleneck links, with every flow attached to both routers. Zero-delay
+    access segments are crossed synchronously.
+
+    Per-flow wiring: an agent on the left sends with [src_sender] and
+    receives reverse packets through the handler registered with
+    [set_src_recv]; the right-side agent uses [dst_sender]/[set_dst_recv].
+    Per-flow access delay sets the base RTT. *)
 
 type queue_spec =
   | Droptail_q of int  (** buffer limit in packets *)
@@ -35,6 +39,10 @@ val create :
 
 val runtime : t -> Engine.Runtime.t
 
+(** The underlying graph: routers 0 and 1, edges 0 (forward) and 1
+    (reverse). *)
+val topology : t -> Topology.t
+
 (** [add_flow t ~flow ~rtt_base] registers a flow whose base round-trip
     time (excluding queueing) is [rtt_base]. The access delay on each of
     the four access segments is [(rtt_base / 2 - delay) / 2]; [rtt_base]
@@ -44,22 +52,15 @@ val add_flow : t -> flow:int -> rtt_base:float -> unit
 val set_src_recv : t -> flow:int -> Packet.handler -> unit
 val set_dst_recv : t -> flow:int -> Packet.handler -> unit
 
-(** [src_send t ~flow pkt] injects a packet at the left (data direction). *)
-val src_send : t -> flow:int -> Packet.t -> unit
-
-(** [dst_send t ~flow pkt] injects at the right (ack/feedback direction). *)
-val dst_send : t -> flow:int -> Packet.t -> unit
-
-(** Direct handlers, convenient to hand to agents. *)
+(** [src_sender t ~flow] injects packets at the left (data direction);
+    [dst_sender] at the right (ack/feedback direction). Both raise if the
+    flow is unknown. *)
 val src_sender : t -> flow:int -> Packet.handler
 
 val dst_sender : t -> flow:int -> Packet.handler
 
 val forward_link : t -> Link.t
 val reverse_link : t -> Link.t
-
-(** [on_forward_drop t f] observes drops at the congested queue. *)
-val on_forward_drop : t -> Packet.handler -> unit
 
 (** Loss fraction at the forward bottleneck queue so far. *)
 val forward_drop_rate : t -> float

@@ -9,7 +9,11 @@
     - a {e cross} flow of hop k enters before hop k and exits after it.
 
     Reverse direction (acks/feedback) is modelled as a well-provisioned
-    fixed-delay path, since the paper's scenarios never congest it. *)
+    fixed-delay path, since the paper's scenarios never congest it.
+
+    Built on {!Topology}: routers 0..hops, hop [k] running router [k-1] to
+    router [k]. Every access and reverse segment is a scheduler event,
+    even at zero delay. *)
 
 type t
 

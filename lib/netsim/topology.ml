@@ -1,58 +1,77 @@
 type node = int
 
-type edge_kind =
-  | Wire of { wdelay : float; always_schedule : bool }
-  | Queued of Link.t
-
 type edge = {
   eid : int;
   esrc : node;
   edst : node;
-  kind : edge_kind;
+  link : Link.t;
   mutable cost : float option; (* explicit override; None = cost model *)
 }
 
 type cost_model = Hop | Delay
 
+(* A flow attached at two routers. Each end reaches its router over an
+   access segment of [access] seconds; [reverse], when set, carries the
+   flow's feedback over one direct hop of that delay instead of through
+   the graph. *)
 type flow_info = {
   fid : int;
   fsrc : node;
   fdst : node;
+  access : float;
+  always_schedule : bool;
+  reverse : float option;
   mutable src_recv : Packet.handler;
   mutable dst_recv : Packet.handler;
 }
 
-(* Per-packet forwarding state, installed at injection and removed at final
-   delivery, on any drop (queue, outage or TTL), or when the packet turns
-   out to be unroutable. Keyed by the packet's runtime-unique id. *)
+(* Per-packet forwarding state, installed at injection and removed when
+   the packet leaves the graph at its destination router, on any drop
+   (queue, outage or TTL), or when the packet turns out to be unroutable.
+   Keyed by the packet's runtime-unique id. The TTL counts router hops
+   taken under one set of routing tables ([epoch] = the recompute it was
+   last reset at): a route change mid-flight legitimately sends a packet
+   back the way it came, but within one shortest-path table a path never
+   revisits a router. *)
 type target = {
-  tnode : node;
   tflow : flow_info;
-  tdir : [ `Fwd | `Bwd ];
+  fwd : bool;
   mutable ttl : int;
+  mutable epoch : int;
 }
 
 type impact_kind = Partitioned | Rerouted | Unaffected
+
+(* Packet ids and timer tokens are dense small ints: hashing them by
+   identity spreads them evenly over the buckets without a call into the
+   polymorphic hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 type t = {
   rt : Engine.Runtime.t;
   cost_model : cost_model;
   mutable n_nodes : int;
   mutable adj : edge list array; (* out-edges, most recent first *)
-  mutable all_edges : edge list; (* most recent first *)
+  mutable by_id : edge array; (* edges indexed by id *)
   mutable n_edges : int;
-  flows : (int, flow_info) Hashtbl.t;
-  targets : (int, target) Hashtbl.t;
-  (* Routing tables, keyed (node, destination). [next_up] uses only up
-     links; [next_all] ignores link state and is the fallback that keeps
-     traffic heading into a failed link when no alternate path exists, so
-     it blackholes at the outage exactly like a hand-wired topology. *)
-  next_up : (node * node, edge) Hashtbl.t;
-  next_all : (node * node, edge) Hashtbl.t;
+  flows : flow_info Itbl.t;
+  targets : target Itbl.t;
+  (* Routing tables: entry [u * n_nodes + d] is the id of [u]'s next edge
+     toward [d], or -1. [next_up] uses only up links; [next_all] ignores
+     link state and is the fallback that keeps traffic heading into a
+     failed link when no alternate path exists, so it blackholes at the
+     outage's ingress. *)
+  mutable next_up : int array;
+  mutable next_all : int array;
   mutable dirty : bool;
   mutable recomputes : int;
-  (* Pending wire deliveries, cancellable at teardown (see Dumbbell). *)
-  pending : (int, Engine.Runtime.handle) Hashtbl.t;
+  (* Pending access-segment deliveries, cancellable at teardown. *)
+  pending : Engine.Runtime.handle Itbl.t;
   mutable next_token : int;
 }
 
@@ -62,15 +81,15 @@ let create ?(cost_model = Hop) rt () =
     cost_model;
     n_nodes = 0;
     adj = Array.make 8 [];
-    all_edges = [];
+    by_id = [||];
     n_edges = 0;
-    flows = Hashtbl.create 32;
-    targets = Hashtbl.create 256;
-    next_up = Hashtbl.create 64;
-    next_all = Hashtbl.create 64;
+    flows = Itbl.create 32;
+    targets = Itbl.create 256;
+    next_up = [||];
+    next_all = [||];
     dirty = true;
     recomputes = 0;
-    pending = Hashtbl.create 64;
+    pending = Itbl.create 64;
     next_token = 0;
   }
 
@@ -87,63 +106,36 @@ let add_node t =
     t.adj <- bigger
   end;
   t.n_nodes <- n + 1;
+  (* The routing tables are sized by the node count. *)
+  t.dirty <- true;
   n
 
 let check_node t v name =
   if v < 0 || v >= t.n_nodes then
     invalid_arg (Printf.sprintf "Topology.%s: unknown node %d" name v)
 
-(* --- packet movement ------------------------------------------------------ *)
-
-let delayed t d f =
-  let k = t.next_token in
-  t.next_token <- k + 1;
-  let h =
-    Engine.Runtime.after t.rt d (fun () ->
-        Hashtbl.remove t.pending k;
-        f ())
-  in
-  Hashtbl.add t.pending k h
-
-let loop_ev t node (pkt : Packet.t) =
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt) ~cat:"topo" ~name:"loop"
-      [
-        ("node", Engine.Trace.Int node);
-        ("id", Engine.Trace.Int pkt.id);
-        ("flow", Engine.Trace.Int pkt.flow);
-      ]
+(* --- routing -------------------------------------------------------------- *)
 
 (* Shortest-path recomputation: one Dijkstra per destination over the
    reversed graph (small graphs; selection-based extract-min is plenty),
    then each node's next hop is its out-edge minimizing
    [cost e + dist (edst e)], ties broken by lowest edge id so routes are
-   deterministic regardless of hash order. *)
+   deterministic. *)
 
 let edge_cost t e =
   match e.cost with
   | Some c -> c
-  | None -> (
-      match t.cost_model with
-      | Hop -> 1.
-      | Delay -> (
-          match e.kind with
-          | Wire { wdelay; _ } -> wdelay
-          | Queued l -> Link.delay l))
+  | None -> ( match t.cost_model with Hop -> 1. | Delay -> Link.delay e.link)
 
-let edge_usable up_only e =
-  (not up_only)
-  || match e.kind with Wire _ -> true | Queued l -> Link.is_up l
+let edge_usable up_only e = (not up_only) || Link.is_up e.link
 
 let fill_table t ~up_only table =
   let n = t.n_nodes in
   let in_edges = Array.make (max n 1) [] in
-  List.iter
-    (fun e ->
-      if edge_usable up_only e then
-        in_edges.(e.edst) <- e :: in_edges.(e.edst))
-    t.all_edges;
+  for id = t.n_edges - 1 downto 0 do
+    let e = t.by_id.(id) in
+    if edge_usable up_only e then in_edges.(e.edst) <- e :: in_edges.(e.edst)
+  done;
   let by_id a b = compare a.eid b.eid in
   let out_sorted =
     Array.init n (fun u ->
@@ -184,15 +176,16 @@ let fill_table t ~up_only table =
             | _ -> best := Some (c, e))
           out_sorted.(u);
         match !best with
-        | Some (_, e) -> Hashtbl.replace table (u, d) e
+        | Some (_, e) -> table.((u * n) + d) <- e.eid
         | None -> ()
       end
     done
   done
 
 let recompute t =
-  Hashtbl.reset t.next_up;
-  Hashtbl.reset t.next_all;
+  let n = t.n_nodes in
+  t.next_up <- Array.make (n * n) (-1);
+  t.next_all <- Array.make (n * n) (-1);
   fill_table t ~up_only:true t.next_up;
   fill_table t ~up_only:false t.next_all;
   t.recomputes <- t.recomputes + 1;
@@ -200,139 +193,171 @@ let recompute t =
 
 let ensure_routes t = if t.dirty then recompute t
 
+(* Id of [u]'s next edge toward [d], or -1 when [d] is unreachable. The
+   tables must be current. *)
 let next_edge t u d =
-  ensure_routes t;
-  match Hashtbl.find_opt t.next_up (u, d) with
-  | Some e -> Some e
-  | None -> Hashtbl.find_opt t.next_all (u, d)
+  let i = (u * t.n_nodes) + d in
+  let e = t.next_up.(i) in
+  if e >= 0 then e else t.next_all.(i)
 
-let rec arrive t node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.targets pkt.id with
-  | None -> () (* unrouted packet: silently discarded, like the demuxes *)
-  | Some tg ->
-      if node = tg.tnode then begin
-        Hashtbl.remove t.targets pkt.id;
-        match tg.tdir with
-        | `Fwd -> tg.tflow.dst_recv pkt
-        | `Bwd -> tg.tflow.src_recv pkt
-      end
-      else if tg.ttl <= 0 then begin
-        (* Forwarding loop: impossible while routes come from a shortest-
-           path tree, so any occurrence is a routing bug. The trace event
-           trips the invariant checker's topo-loop-free rule. *)
-        Hashtbl.remove t.targets pkt.id;
-        loop_ev t node pkt
+(* --- packet movement ------------------------------------------------------ *)
+
+let delayed t d f =
+  let k = t.next_token in
+  t.next_token <- k + 1;
+  let h =
+    Engine.Runtime.after t.rt d (fun () ->
+        Itbl.remove t.pending k;
+        f ())
+  in
+  Itbl.add t.pending k h
+
+(* Access and direct-reverse segments: a zero-delay segment is crossed
+   synchronously unless the flow asks for every segment to be a
+   scheduler event. *)
+let scheduled fi d = d > 0. || fi.always_schedule
+
+let loop_ev t node (pkt : Packet.t) =
+  let tr = Engine.Runtime.trace t.rt in
+  if Engine.Trace.active tr then
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt) ~cat:"topo" ~name:"loop"
+      [
+        ("node", Engine.Trace.Int node);
+        ("id", Engine.Trace.Int pkt.id);
+        ("flow", Engine.Trace.Int pkt.flow);
+      ]
+
+let deliver fi ~fwd pkt = if fwd then fi.dst_recv pkt else fi.src_recv pkt
+
+let arrive t node (pkt : Packet.t) =
+  match Itbl.find t.targets pkt.id with
+  | exception Not_found ->
+      () (* unrouted packet: silently discarded *)
+  | tg ->
+      let fi = tg.tflow and fwd = tg.fwd in
+      if node = if fwd then fi.fdst else fi.fsrc then begin
+        (* Leave the graph over the destination's access segment. *)
+        Itbl.remove t.targets pkt.id;
+        if scheduled fi fi.access then
+          delayed t fi.access (fun () -> deliver fi ~fwd pkt)
+        else deliver fi ~fwd pkt
       end
       else begin
-        tg.ttl <- tg.ttl - 1;
-        match next_edge t node tg.tnode with
-        | None -> Hashtbl.remove t.targets pkt.id (* statically unreachable *)
-        | Some e -> forward t e pkt
+        ensure_routes t;
+        if tg.epoch <> t.recomputes then begin
+          tg.epoch <- t.recomputes;
+          tg.ttl <- t.n_nodes
+        end;
+        if tg.ttl <= 0 then begin
+          (* Forwarding loop: impossible while routes come from a shortest-
+             path tree, so any occurrence is a routing bug. The trace event
+             trips the invariant checker's topo-loop-free rule. *)
+          Itbl.remove t.targets pkt.id;
+          loop_ev t node pkt
+        end
+        else begin
+          tg.ttl <- tg.ttl - 1;
+          let e = next_edge t node (if fwd then fi.fdst else fi.fsrc) in
+          if e < 0 then Itbl.remove t.targets pkt.id (* statically unreachable *)
+          else Link.send t.by_id.(e).link pkt
+        end
       end
 
-and forward t e pkt =
-  match e.kind with
-  | Queued l -> Link.send l pkt
-  | Wire { wdelay; always_schedule } ->
-      if wdelay > 0. || always_schedule then
-        delayed t wdelay (fun () -> arrive t e.edst pkt)
-      else arrive t e.edst pkt
-
 (* --- construction --------------------------------------------------------- *)
-
-let register_edge t e =
-  t.adj.(e.esrc) <- e :: t.adj.(e.esrc);
-  t.all_edges <- e :: t.all_edges;
-  t.n_edges <- t.n_edges + 1;
-  t.dirty <- true;
-  e
 
 let add_link t ~src ~dst ?cost link =
   check_node t src "add_link";
   check_node t dst "add_link";
-  let e =
-    register_edge t
-      { eid = t.n_edges; esrc = src; edst = dst; kind = Queued link; cost }
-  in
+  let e = { eid = t.n_edges; esrc = src; edst = dst; link; cost } in
+  if e.eid = Array.length t.by_id then begin
+    let bigger = Array.make (max 8 (2 * e.eid)) e in
+    Array.blit t.by_id 0 bigger 0 e.eid;
+    t.by_id <- bigger
+  end;
+  t.by_id.(e.eid) <- e;
+  t.adj.(src) <- e :: t.adj.(src);
+  t.n_edges <- t.n_edges + 1;
+  t.dirty <- true;
   Link.set_dest link (fun pkt -> arrive t dst pkt);
   (* A dropped packet is dead: forget its forwarding state. *)
-  Link.on_drop link (fun pkt -> Hashtbl.remove t.targets pkt.Packet.id);
+  Link.on_drop link (fun pkt -> Itbl.remove t.targets pkt.Packet.id);
   Link.on_state_change link (fun _ -> t.dirty <- true);
   e
-
-let add_wire t ~src ~dst ?cost ?(always_schedule = false) delay =
-  check_node t src "add_wire";
-  check_node t dst "add_wire";
-  if delay < 0. then invalid_arg "Topology.add_wire: negative delay";
-  register_edge t
-    {
-      eid = t.n_edges;
-      esrc = src;
-      edst = dst;
-      kind = Wire { wdelay = delay; always_schedule };
-      cost;
-    }
 
 let set_cost t e c =
   e.cost <- Some c;
   t.dirty <- true
 
-let edges t = List.rev t.all_edges
+let edges t = List.init t.n_edges (fun i -> t.by_id.(i))
 let edge_id e = e.eid
 let edge_src e = e.esrc
 let edge_dst e = e.edst
-let edge_link e = match e.kind with Queued l -> Some l | Wire _ -> None
+let edge_link e = e.link
 
 let find_link t label =
   List.find_map
-    (fun e ->
-      match e.kind with
-      | Queued l when Link.label l = label -> Some (l, e)
-      | _ -> None)
+    (fun e -> if Link.label e.link = label then Some (e.link, e) else None)
     (edges t)
 
 (* --- flows ---------------------------------------------------------------- *)
 
-let add_flow t ~flow ~src ~dst =
+let mem_flow t flow = Itbl.mem t.flows flow
+
+let add_flow t ~flow ~src ~dst ?(always_schedule = false) ?reverse access =
   check_node t src "add_flow";
   check_node t dst "add_flow";
-  if Hashtbl.mem t.flows flow then
+  if mem_flow t flow then
     invalid_arg (Printf.sprintf "Topology.add_flow: flow %d already exists" flow);
-  Hashtbl.replace t.flows flow
-    { fid = flow; fsrc = src; fdst = dst; src_recv = ignore; dst_recv = ignore }
+  if access < 0. || Option.fold ~none:false ~some:(fun d -> d < 0.) reverse
+  then invalid_arg "Topology.add_flow: negative delay";
+  Itbl.replace t.flows flow
+    {
+      fid = flow;
+      fsrc = src;
+      fdst = dst;
+      access;
+      always_schedule;
+      reverse;
+      src_recv = ignore;
+      dst_recv = ignore;
+    }
 
 let find t flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fi -> fi
-  | None -> invalid_arg (Printf.sprintf "Topology: unknown flow %d" flow)
+  match Itbl.find t.flows flow with
+  | fi -> fi
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Topology: unknown flow %d" flow)
 
 let set_src_recv t ~flow h = (find t flow).src_recv <- h
 let set_dst_recv t ~flow h = (find t flow).dst_recv <- h
 
-let send t fi dir pkt =
-  let start, tnode =
-    match dir with
-    | `Fwd -> (fi.fsrc, fi.fdst)
-    | `Bwd -> (fi.fdst, fi.fsrc)
-  in
-  Hashtbl.replace t.targets pkt.Packet.id
-    { tnode; tflow = fi; tdir = dir; ttl = t.n_nodes };
-  arrive t start pkt
+let inject t fi ~fwd pkt =
+  Itbl.replace t.targets pkt.Packet.id
+    { tflow = fi; fwd; ttl = t.n_nodes; epoch = t.recomputes };
+  let router = if fwd then fi.fsrc else fi.fdst in
+  if scheduled fi fi.access then
+    delayed t fi.access (fun () -> arrive t router pkt)
+  else arrive t router pkt
 
 let src_sender t ~flow =
   let fi = find t flow in
-  fun pkt -> send t fi `Fwd pkt
+  fun pkt -> inject t fi ~fwd:true pkt
 
 let dst_sender t ~flow =
   let fi = find t flow in
-  fun pkt -> send t fi `Bwd pkt
+  match fi.reverse with
+  | None -> fun pkt -> inject t fi ~fwd:false pkt
+  | Some d ->
+      fun pkt ->
+        if scheduled fi d then delayed t d (fun () -> fi.src_recv pkt)
+        else fi.src_recv pkt
 
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = Itbl.length t.pending
 
 let teardown t =
-  Hashtbl.iter (fun _ h -> Engine.Runtime.cancel h) t.pending;
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.targets
+  Itbl.iter (fun _ h -> Engine.Runtime.cancel h) t.pending;
+  Itbl.reset t.pending;
+  Itbl.reset t.targets
 
 (* --- routing / impact queries --------------------------------------------- *)
 
@@ -344,9 +369,11 @@ let route t ~src ~dst =
     if u = dst then Some (List.rev acc)
     else if budget <= 0 then None
     else
-      match Hashtbl.find_opt t.next_up (u, dst) with
-      | None -> None
-      | Some e -> walk (e :: acc) e.edst (budget - 1)
+      let e = t.next_up.((u * t.n_nodes) + dst) in
+      if e < 0 then None
+      else
+        let e = t.by_id.(e) in
+        walk (e :: acc) e.edst (budget - 1)
   in
   walk [] src t.n_nodes
 
@@ -381,13 +408,16 @@ let flow_uses t e ~src ~dst =
 let impact t e =
   ensure_routes t;
   let flows =
-    Hashtbl.fold (fun _ fi acc -> fi :: acc) t.flows []
+    Itbl.fold (fun _ fi acc -> fi :: acc) t.flows []
     |> List.sort (fun a b -> compare a.fid b.fid)
   in
   List.map
     (fun fi ->
       let fwd = flow_uses t e ~src:fi.fsrc ~dst:fi.fdst in
-      let bwd = flow_uses t e ~src:fi.fdst ~dst:fi.fsrc in
+      (* A direct reverse hop never crosses the graph. *)
+      let bwd =
+        fi.reverse = None && flow_uses t e ~src:fi.fdst ~dst:fi.fsrc
+      in
       let kind =
         if not (fwd || bwd) then Unaffected
         else if

@@ -1,18 +1,23 @@
-(** Arbitrary-topology network layer: a directed graph of nodes joined by
-    either queued {!Link}s (bandwidth + queue discipline + propagation
-    delay, the congestible hops) or pure-delay wires (over-provisioned
-    access/stub segments). Multi-queue routers arise naturally: a node with
-    several outgoing queued links owns one queue per link, and each queue
+(** Arbitrary-topology network layer: a directed graph of routers joined
+    by queued {!Link}s (bandwidth + queue discipline + propagation delay,
+    the congestible hops). Multi-queue routers arise naturally: a router
+    with several outgoing links owns one queue per link, and each queue
     keeps its own conservation counters, so the invariant checker's
     queue-conservation rule holds per queue across the graph.
 
+    Hosts are not nodes. A flow attaches to a source router and a
+    destination router; each end reaches its router over a pure-delay
+    access segment (an over-provisioned stub link). Attaching a flow
+    leaves the routing tables alone, so routing cost does not grow with
+    the number of flows.
+
     Forwarding is per-hop: packets follow static shortest-path routes
     (Dijkstra over configurable link costs, deterministic lowest-edge-id
-    tie-break). Routes are recomputed lazily whenever a link changes
-    up/down state, so {!Faults.outage} and flapping actually shift traffic
-    onto alternate paths when one exists. When no up path remains, packets
-    fall back to the full-graph route and blackhole at the failed link's
-    ingress — identical drop accounting to a hand-wired topology.
+    tie-break), read from dense per-(router, destination) tables. Routes
+    are recomputed lazily whenever a link changes up/down state, so
+    {!Faults.outage} and flapping actually shift traffic onto alternate
+    paths when one exists. When no up path remains, packets fall back to
+    the full-graph route and blackhole at the failed link's ingress.
 
     {!impact} answers the planning-side question a failure poses: which
     flows does losing this edge partition (no alternate path) and which
@@ -39,7 +44,8 @@ val create : ?cost_model:cost_model -> Engine.Runtime.t -> unit -> t
 
 val runtime : t -> Engine.Runtime.t
 
-(** [add_node t] returns a fresh node (0, 1, 2, …). *)
+(** [add_node t] returns a fresh router (0, 1, 2, …) and invalidates the
+    routing tables. *)
 val add_node : t -> node
 
 val n_nodes : t -> int
@@ -49,14 +55,6 @@ val n_nodes : t -> int
     handler and registers drop/state-change listeners; callers may still
     add their own drop listeners and drive faults at the link. *)
 val add_link : t -> src:node -> dst:node -> ?cost:float -> Link.t -> edge
-
-(** [add_wire t ~src ~dst ?cost ?always_schedule delay] adds a
-    unidirectional pure-delay edge. With [delay = 0] the hop is traversed
-    synchronously unless [always_schedule] (default false) forces a
-    zero-delay scheduler event — builders use this to reproduce the legacy
-    hand-wired builders' event structure exactly. *)
-val add_wire :
-  t -> src:node -> dst:node -> ?cost:float -> ?always_schedule:bool -> float -> edge
 
 (** [set_cost t e c] overrides the edge's cost and invalidates routes. *)
 val set_cost : t -> edge -> float -> unit
@@ -77,22 +75,37 @@ val edge_id : edge -> int
 val edge_src : edge -> node
 val edge_dst : edge -> node
 
-(** The underlying link of a queued edge; [None] for wires. *)
-val edge_link : edge -> Link.t option
+val edge_link : edge -> Link.t
 
-(** [find_link t label] finds a queued edge by its link's trace label. *)
+(** [find_link t label] finds an edge by its link's trace label. *)
 val find_link : t -> string -> (Link.t * edge) option
 
-(** [add_flow t ~flow ~src ~dst] registers a flow between two (usually
-    host) nodes. Raises if the flow id is taken. *)
-val add_flow : t -> flow:int -> src:node -> dst:node -> unit
+(** [add_flow t ~flow ~src ~dst access] attaches a flow whose source
+    reaches router [src], and whose destination router [dst], over an
+    access segment of [access] seconds each way. A zero-delay segment is
+    crossed synchronously unless [always_schedule] (default false) makes
+    every segment a scheduler event. [reverse], when given, carries the
+    flow's feedback ({!dst_sender}) over one direct hop of that delay
+    instead of through the graph. Raises if the flow id is taken or a
+    delay is negative. *)
+val add_flow :
+  t ->
+  flow:int ->
+  src:node ->
+  dst:node ->
+  ?always_schedule:bool ->
+  ?reverse:float ->
+  float ->
+  unit
+
+val mem_flow : t -> int -> bool
 
 val set_src_recv : t -> flow:int -> Packet.handler -> unit
 val set_dst_recv : t -> flow:int -> Packet.handler -> unit
 
 (** [src_sender t ~flow] injects packets at the flow's source, routed to
     its destination ([dst_sender] the reverse). Unroutable packets are
-    silently discarded, like the hand-wired builders' demuxes. *)
+    silently discarded. Raises if the flow is unknown. *)
 val src_sender : t -> flow:int -> Packet.handler
 
 val dst_sender : t -> flow:int -> Packet.handler
@@ -110,9 +123,9 @@ val impact : t -> edge -> (int * impact_kind) list
 
 val impact_str : impact_kind -> string
 
-(** Pending wire deliveries not yet fired. *)
+(** Pending access-segment deliveries not yet fired. *)
 val in_flight : t -> int
 
-(** [teardown t] cancels pending wire deliveries and forgets per-packet
-    forwarding state. *)
+(** [teardown t] cancels pending access-segment deliveries and forgets
+    per-packet forwarding state. *)
 val teardown : t -> unit

@@ -148,7 +148,17 @@ let polls t = t.polls
 let fired t = t.fired
 let io_giveups t = t.io_giveups
 
+(* select(2) takes descriptors below FD_SETSIZE only; a higher one makes
+   every later poll fail with EINVAL. On Unix a descriptor is its kernel
+   index. *)
+let fd_setsize = 1024
+
 let watch_fd t fd ~on_readable =
+  if Sys.unix && (Obj.magic fd : int) >= fd_setsize then
+    invalid_arg
+      (Printf.sprintf
+         "Wire.Loop.watch_fd: descriptor %d is not below select's limit of %d"
+         (Obj.magic fd : int) fd_setsize);
   t.watches <-
     { wfd = fd; on_readable }
     :: List.filter (fun w -> w.wfd <> fd) t.watches

@@ -64,7 +64,8 @@ val pending_timers : t -> int
 
 (** [watch_fd t fd ~on_readable] has [run] call [on_readable] whenever
     [fd] selects readable. One watch per descriptor; watching an already
-    watched [fd] replaces its callback. *)
+    watched [fd] replaces its callback. Raises [Invalid_argument] if [fd]
+    is 1024 or higher, which [select] cannot watch. *)
 val watch_fd : t -> Unix.file_descr -> on_readable:(unit -> unit) -> unit
 
 val unwatch_fd : t -> Unix.file_descr -> unit

@@ -53,32 +53,41 @@ let rec drain t =
 let create loop ?(port = 0) ?netio () =
   let netio = match netio with Some io -> io | None -> Netio.unix () in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.set_nonblock fd;
-  (* A generous receive buffer keeps paced loopback traffic from
-     overflowing the socket while the warp loop settles in-flight
-     datagrams; best effort (the kernel clamps to its limits). *)
-  (try Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 20)
-   with Unix.Unix_error _ -> ());
-  Unix.bind fd (addr ~port);
-  let t =
-    {
-      fd;
-      loop;
-      netio;
-      buf = Bytes.create Codec.max_frame;
-      on_datagram = (fun _ _ -> ());
-      on_health = (fun _ -> ());
-      rx = 0;
-      tx = 0;
-      tx_drops = 0;
-      tx_errors = 0;
-      rx_errors = 0;
-      closed = false;
-    }
-  in
-  Loop.register_inflight loop netio.Netio.inflight;
-  Loop.watch_fd loop fd ~on_readable:(fun () -> drain t);
-  t
+  match
+    Unix.set_nonblock fd;
+    (* A generous receive buffer keeps paced loopback traffic from
+       overflowing the socket while the warp loop settles in-flight
+       datagrams; best effort (the kernel clamps to its limits). *)
+    (try Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 20)
+     with Unix.Unix_error _ -> ());
+    Unix.bind fd (addr ~port);
+    let t =
+      {
+        fd;
+        loop;
+        netio;
+        buf = Bytes.create Codec.max_frame;
+        on_datagram = (fun _ _ -> ());
+        on_health = (fun _ -> ());
+        rx = 0;
+        tx = 0;
+        tx_drops = 0;
+        tx_errors = 0;
+        rx_errors = 0;
+        closed = false;
+      }
+    in
+    Loop.watch_fd loop fd ~on_readable:(fun () -> drain t);
+    t
+  with
+  | t ->
+      Loop.register_inflight loop netio.Netio.inflight;
+      t
+  | exception e ->
+      (* Do not leak the socket when it cannot be bound or watched. *)
+      let bt = Printexc.get_raw_backtrace () in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let port t =
   match Unix.getsockname t.fd with

@@ -25,7 +25,9 @@ type t
 (** [create loop ?port ?netio ()] binds [127.0.0.1:port] ([port] defaults
     to 0 = ephemeral) and registers with [loop] — both the readable
     watch and the netio's in-flight counter
-    ({!Loop.register_inflight}). [netio] defaults to {!Netio.unix}. *)
+    ({!Loop.register_inflight}). [netio] defaults to {!Netio.unix}. If
+    the socket cannot be bound or watched (see {!Loop.watch_fd}), it is
+    closed and the exception re-raised. *)
 val create : Loop.t -> ?port:int -> ?netio:Netio.t -> unit -> t
 
 (** The locally bound port (useful after an ephemeral bind). *)

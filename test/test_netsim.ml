@@ -418,12 +418,12 @@ let test_dumbbell_roundtrip_delay () =
   let fwd_arrival = ref 0. and bwd_arrival = ref 0. in
   Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun pkt ->
       fwd_arrival := Engine.Sim.now sim;
-      Netsim.Dumbbell.dst_send db ~flow:1 pkt);
+      Netsim.Dumbbell.dst_sender db ~flow:1 pkt);
   Netsim.Dumbbell.set_src_recv db ~flow:1 (fun _ ->
       bwd_arrival := Engine.Sim.now sim);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Dumbbell.src_send db ~flow:1 (mk_pkt ~size:100 ())));
+         Netsim.Dumbbell.src_sender db ~flow:1 (mk_pkt ~size:100 ())));
   Engine.Sim.run sim ~until:1.;
   (* One-way base = 0.05 + serialization (100B at 1e8 = 8 microseconds). *)
   Alcotest.(check bool)
@@ -464,7 +464,7 @@ let test_dumbbell_unknown_flow () =
   in
   Alcotest.check_raises "unknown flow"
     (Invalid_argument "Dumbbell: unknown flow 9") (fun () ->
-      Netsim.Dumbbell.src_send db ~flow:9 (mk_pkt ()))
+      Netsim.Dumbbell.src_sender db ~flow:9 (mk_pkt ()))
 
 let test_dumbbell_isolation () =
   (* Two flows: packets demux to the right receivers. *)
@@ -481,9 +481,9 @@ let test_dumbbell_isolation () =
   ignore
     (Engine.Sim.at sim 0. (fun () ->
          for i = 1 to 3 do
-           Netsim.Dumbbell.src_send db ~flow:1 (mk_pkt ~flow:1 ~seq:i ())
+           Netsim.Dumbbell.src_sender db ~flow:1 (mk_pkt ~flow:1 ~seq:i ())
          done;
-         Netsim.Dumbbell.src_send db ~flow:2 (mk_pkt ~flow:2 ~seq:1 ())));
+         Netsim.Dumbbell.src_sender db ~flow:2 (mk_pkt ~flow:2 ~seq:1 ())));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "flow 1 packets" 3 !got1;
   Alcotest.(check int) "flow 2 packets" 1 !got2

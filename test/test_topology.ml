@@ -1,27 +1,52 @@
-(* Tests for the arbitrary-topology layer: differential byte-identity of
-   the graph-backed builders against the hand-wired ones, failure-impact
-   classification on the transcontinental WAN, routing recomputation on
-   link-state changes, builder teardown/in-flight accounting, and graph
-   fuzz scenarios under parallel execution. *)
+(* Tests for the arbitrary-topology layer: golden traces of every builder
+   and of routed fuzz scenarios, failure-impact classification on the
+   transcontinental WAN, routing recomputation on link-state changes (and
+   not on flow attachment), builder teardown/in-flight accounting, and
+   graph fuzz scenarios under parallel execution. *)
 
 module TB = Netsim.Topo_builders.Transcontinental
+module FT = Netsim.Topo_builders.Fat_tree
 
-(* --- Differential: graph builders vs hand-wired builders ------------------- *)
+(* --- Goldens: the one construction replays the hand-wired builders ----- *)
 
-(* Run the same scenario through both constructions and demand identical
-   outcomes down to the trace digest: the graph layer must not add,
-   remove, reorder or re-time a single event. *)
-let diff_case name (sc : Fuzz.Scenario.t) =
-  let a = Fuzz.Oracle.run ~builders:`Legacy sc in
-  let b = Fuzz.Oracle.run ~builders:`Graph sc in
+(* Event count, delivered data packets and the MD5 of the run's JSONL text
+   ([Engine.Trace.to_json] per event, newline-joined). The values were
+   recorded from the hand-wired dumbbell and parking lot builders, and
+   from the host-node graph construction for the routed cases, before
+   both gave way to routers with flow attachments: the network layer must
+   not add, remove, reorder or re-time a single event. *)
+type golden = { events : int; delivered : int; md5 : string }
+
+let jsonl_md5 run =
+  let buf = Buffer.create 65536 in
+  let n = ref 0 in
+  let sink =
+    {
+      Engine.Trace.emit =
+        (fun ev ->
+          if !n > 0 then Buffer.add_char buf '\n';
+          incr n;
+          Buffer.add_string buf (Engine.Trace.to_json ev));
+      close = ignore;
+    }
+  in
+  run sink;
+  (!n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let check_golden name g ~events ~delivered ~md5 =
+  Alcotest.(check int) (name ^ ": events") g.events events;
+  Alcotest.(check int) (name ^ ": delivered") g.delivered delivered;
+  Alcotest.(check string) (name ^ ": JSONL md5") g.md5 md5
+
+(* A fuzz scenario through the oracle: every oracle passes, and one run's
+   JSONL matches the golden. *)
+let oracle_golden name sc g =
+  let o = Fuzz.Oracle.run sc in
   Alcotest.(check (list string))
-    (name ^ ": legacy passes") [] (Fuzz.Oracle.failed_oracles a);
-  Alcotest.(check (list string))
-    (name ^ ": graph passes") [] (Fuzz.Oracle.failed_oracles b);
-  Alcotest.(check int) (name ^ ": digest") a.Fuzz.Oracle.digest b.Fuzz.Oracle.digest;
-  Alcotest.(check int) (name ^ ": events") a.Fuzz.Oracle.events b.Fuzz.Oracle.events;
-  Alcotest.(check int)
-    (name ^ ": delivered") a.Fuzz.Oracle.delivered b.Fuzz.Oracle.delivered
+    (name ^ ": oracles pass") [] (Fuzz.Oracle.failed_oracles o);
+  let events, md5 = jsonl_md5 (Fuzz.Oracle.trace sc) in
+  Alcotest.(check int) (name ^ ": traced run emits as many") o.events events;
+  check_golden name g ~events ~delivered:o.delivered ~md5
 
 let flow ?(proto = Fuzz.Scenario.Tfrc) ?(rtt_base = 0.06) ?(start = 0.) ?hop () =
   { Fuzz.Scenario.proto; rtt_base; start; hop }
@@ -39,14 +64,15 @@ let base_sc ~id ~topology ~flows ~faults ~duration =
     duration;
   }
 
-let test_diff_fig2_dumbbell () =
-  diff_case "fig2 dumbbell"
+let test_golden_fig2_dumbbell () =
+  oracle_golden "fig2 dumbbell"
     (base_sc ~id:"diff/fig2" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~start:0.5 (); flow ~proto:Fuzz.Scenario.Tcp () ]
        ~faults:[] ~duration:8.)
+    { events = 5626; delivered = 1445; md5 = "2b38e9e7a88e58217f090af71c73ed45" }
 
-let test_diff_dumbbell_link_faults () =
-  diff_case "dumbbell link faults"
+let test_golden_dumbbell_link_faults () =
+  oracle_golden "dumbbell link faults"
     (base_sc ~id:"diff/link-faults" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~proto:Fuzz.Scenario.Tcp ~start:0.3 () ]
        ~faults:
@@ -57,9 +83,10 @@ let test_diff_dumbbell_link_faults () =
            Fuzz.Scenario.Route_change { at = 9.; bandwidth_factor = 0.5 };
          ]
        ~duration:12.)
+    { events = 4989; delivered = 1170; md5 = "0ece7f20b6f36be44a8973551b804b96" }
 
-let test_diff_dumbbell_handler_faults () =
-  diff_case "dumbbell handler faults"
+let test_golden_dumbbell_handler_faults () =
+  oracle_golden "dumbbell handler faults"
     (base_sc ~id:"diff/handler-faults" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~proto:Fuzz.Scenario.Tfrcp ~start:0.2 () ]
        ~faults:
@@ -70,16 +97,18 @@ let test_diff_dumbbell_handler_faults () =
            Fuzz.Scenario.Fb_blackout { at = 4.; duration = 1. };
          ]
        ~duration:10.)
+    { events = 3598; delivered = 1225; md5 = "60f0ec09f06e6d5477812a5894debb83" }
 
-let test_diff_path () =
-  diff_case "path"
+let test_golden_path () =
+  oracle_golden "path"
     (base_sc ~id:"diff/path" ~topology:Fuzz.Scenario.Path
        ~flows:[ flow ~proto:Fuzz.Scenario.Rap (); flow ~start:0.4 () ]
        ~faults:[ Fuzz.Scenario.Outage { at = 3.; duration = 1. } ]
        ~duration:8.)
+    { events = 1041; delivered = 335; md5 = "c932ce34aac95a7e38c77df6bb4f551c" }
 
-let test_diff_parking_lot () =
-  diff_case "parking lot"
+let test_golden_parking_lot () =
+  oracle_golden "parking lot"
     (base_sc ~id:"diff/parking-lot"
        ~topology:(Fuzz.Scenario.Parking_lot 3)
        ~flows:
@@ -90,6 +119,159 @@ let test_diff_parking_lot () =
          ]
        ~faults:[ Fuzz.Scenario.Outage { at = 4.; duration = 1.5 } ]
        ~duration:10.)
+    { events = 5871; delivered = 2584; md5 = "f1aa31290b9c22c20fbdff7979a941ba" }
+
+let test_golden_ring_chord () =
+  oracle_golden "ring+chord graph"
+    {
+      Fuzz.Scenario.id = "golden/graph";
+      sim_seed = 23;
+      topology = Fuzz.Scenario.Graph { nodes = 5; extra = 2 };
+      bandwidth = 1.5e6;
+      delay = 0.004;
+      queue = Fuzz.Scenario.Droptail 25;
+      flows =
+        [
+          flow ~rtt_base:0.1 ();
+          flow ~rtt_base:0.1 ~start:0.5 ();
+          flow ~proto:Fuzz.Scenario.Tcp ~rtt_base:0.03 ~start:0.2 ();
+        ];
+      faults = [ Fuzz.Scenario.Outage { at = 3.; duration = 2. } ];
+      duration = 8.;
+    }
+    { events = 15769; delivered = 3141; md5 = "e34f370da8892c0a60f127f75861159f" }
+
+(* Builder-level goldens: TFRC and TCP Sack agents on a builder's flow
+   endpoints, a 1.5 s cut of one duplex segment at t = 2, 5 s simulated. *)
+type ends = {
+  src_sender : flow:int -> Netsim.Packet.handler;
+  dst_sender : flow:int -> Netsim.Packet.handler;
+  set_src_recv : flow:int -> Netsim.Packet.handler -> unit;
+  set_dst_recv : flow:int -> Netsim.Packet.handler -> unit;
+}
+
+let attach rt ends delivered ~flow ~tcp ~start =
+  let count h pkt =
+    incr delivered;
+    h pkt
+  in
+  if tcp then begin
+    let config = Tcpsim.Tcp_common.ns_sack in
+    let sink =
+      Tcpsim.Tcp_sink.create rt ~config ~flow ~transmit:(ends.dst_sender ~flow) ()
+    in
+    ends.set_dst_recv ~flow (count (Tcpsim.Tcp_sink.recv sink));
+    let sender =
+      Tcpsim.Tcp_sender.create rt ~config ~flow ~transmit:(ends.src_sender ~flow) ()
+    in
+    ends.set_src_recv ~flow (Tcpsim.Tcp_sender.recv sender);
+    Tcpsim.Tcp_sender.start sender ~at:start
+  end
+  else begin
+    let config = Tfrc.Tfrc_config.default () in
+    let receiver =
+      Tfrc.Tfrc_receiver.create rt ~config ~flow ~transmit:(ends.dst_sender ~flow) ()
+    in
+    ends.set_dst_recv ~flow (count (Tfrc.Tfrc_receiver.recv receiver));
+    let sender =
+      Tfrc.Tfrc_sender.create rt ~config ~flow ~transmit:(ends.src_sender ~flow) ()
+    in
+    ends.set_src_recv ~flow (Tfrc.Tfrc_sender.recv sender);
+    Tfrc.Tfrc_sender.start sender ~at:start
+  end
+
+let builder_golden name build g =
+  let delivered = ref 0 in
+  let events, md5 =
+    jsonl_md5 (fun sink ->
+        let bus = Engine.Trace.create () in
+        Engine.Trace.add_sink bus sink;
+        let sim = Engine.Sim.create ~trace:bus () in
+        build (Engine.Sim.runtime sim) delivered;
+        Engine.Sim.run sim ~until:5.)
+  in
+  check_golden name g ~events ~delivered:!delivered ~md5
+
+let cut rt links =
+  List.iter (fun l -> Netsim.Faults.outage rt l ~at:2. ~duration:1.5 ()) links
+
+(* Zero-access flows cross their access segments synchronously. *)
+let test_golden_dumbbell () =
+  builder_golden "dumbbell"
+    (fun rt delivered ->
+      let db =
+        Netsim.Dumbbell.create rt ~bandwidth:1.5e6 ~delay:0.01
+          ~queue:(Netsim.Dumbbell.Droptail_q 20) ()
+      in
+      let ends =
+        {
+          src_sender = Netsim.Dumbbell.src_sender db;
+          dst_sender = Netsim.Dumbbell.dst_sender db;
+          set_src_recv = Netsim.Dumbbell.set_src_recv db;
+          set_dst_recv = Netsim.Dumbbell.set_dst_recv db;
+        }
+      in
+      List.iter
+        (fun (flow, rtt_base, tcp, start) ->
+          Netsim.Dumbbell.add_flow db ~flow ~rtt_base;
+          attach rt ends delivered ~flow ~tcp ~start)
+        [ (1, 0.02, false, 0.); (2, 0.02, true, 0.2); (3, 0.08, false, 0.4) ];
+      cut rt [ Netsim.Dumbbell.forward_link db ])
+    { events = 1539; delivered = 334; md5 = "4bbe9b57e0350860e80914a75e6fb926" }
+
+let test_golden_transcontinental () =
+  builder_golden "transcontinental"
+    (fun rt delivered ->
+      let wan =
+        TB.create rt ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:30) ()
+      in
+      let ends =
+        {
+          src_sender = TB.src_sender wan;
+          dst_sender = TB.dst_sender wan;
+          set_src_recv = TB.set_src_recv wan;
+          set_dst_recv = TB.set_dst_recv wan;
+        }
+      in
+      List.iter
+        (fun (flow, src, dst, access, tcp, start) ->
+          TB.add_flow wan ~flow ~src ~dst ~access;
+          attach rt ends delivered ~flow ~tcp ~start)
+        [
+          (1, TB.Nyc, TB.Sfo, 0.002, false, 0.);
+          (2, TB.Nyc, TB.Chi, 0.003, true, 0.2);
+          (3, TB.Atl, TB.Sfo, 0., false, 0.4);
+        ];
+      cut rt (List.map (fun l -> fst (TB.link wan l)) [ "chi-den"; "den-chi" ]))
+    { events = 67382; delivered = 17174; md5 = "a1eb15f4788d9f4d5c1728bd4629f374" }
+
+let test_golden_fat_tree () =
+  builder_golden "fat tree"
+    (fun rt delivered ->
+      let ft =
+        FT.create rt ~pods:2 ~bandwidth:2e6 ~delay:0.002
+          ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:20)
+          ()
+      in
+      let ends =
+        {
+          src_sender = FT.src_sender ft;
+          dst_sender = FT.dst_sender ft;
+          set_src_recv = FT.set_src_recv ft;
+          set_dst_recv = FT.set_dst_recv ft;
+        }
+      in
+      List.iter
+        (fun (flow, (src_pod, src_edge), (dst_pod, dst_edge), access, tcp, start) ->
+          FT.add_flow ft ~flow ~src_pod ~src_edge ~dst_pod ~dst_edge ~access;
+          attach rt ends delivered ~flow ~tcp ~start)
+        [
+          (1, (0, 0), (1, 1), 0.003, false, 0.);
+          (2, (0, 1), (1, 0), 0., true, 0.1);
+          (3, (1, 0), (1, 1), 0.001, false, 0.3);
+        ];
+      cut rt (List.map (FT.link ft) [ "a0-c0"; "c0-a0" ]))
+    { events = 22030; delivered = 1949; md5 = "b2b80034efacfedae715c03eecb5c6db" }
 
 (* --- Failure impact on the transcontinental WAN ---------------------------- *)
 
@@ -171,10 +353,52 @@ let test_recompute_on_state_change () =
   Alcotest.(check bool) "outage triggers a recompute" true
     (Netsim.Topology.recomputes (TB.topology wan) > before)
 
-(* --- Teardown cancels in-flight deliveries --------------------------------- *)
-
 let mk_pkt rt ~now =
   Netsim.Packet.make rt ~flow:1 ~seq:0 ~size:1000 ~now Netsim.Packet.Data
+
+(* A cut ahead of a packet in flight turns it back the way it came: the
+   detour revisits routers, which the loop check must allow. Primary path
+   0-1-2-4; the detour from 2 after 2-4 fails is 2-1-0-3-4, so the packet
+   makes six router arrivals in a five-router graph. *)
+let test_midflight_detour_not_a_loop () =
+  let bus = Engine.Trace.create () in
+  let sink, events = Engine.Trace.memory_sink () in
+  Engine.Trace.add_sink bus sink;
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let topo = Netsim.Topology.create rt () in
+  let r = Array.init 5 (fun _ -> Netsim.Topology.add_node topo) in
+  let link a b =
+    let l =
+      Netsim.Link.create rt ~bandwidth:1e6 ~delay:0.01
+        ~queue:(Netsim.Droptail.create ~limit_pkts:10)
+        ()
+    in
+    (l, Netsim.Topology.add_link topo ~src:r.(a) ~dst:r.(b) l)
+  in
+  ignore (link 0 1);
+  ignore (link 1 2);
+  let cut, _ = link 2 4 in
+  ignore (link 2 1);
+  ignore (link 1 0);
+  let _, e03 = link 0 3 in
+  let _, e34 = link 3 4 in
+  Netsim.Topology.set_cost topo e03 10.;
+  Netsim.Topology.set_cost topo e34 10.;
+  Netsim.Topology.add_flow topo ~flow:1 ~src:r.(0) ~dst:r.(4) 0.;
+  let received = ref 0 in
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
+  Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.);
+  (* Each hop is 8 ms of transmission and 10 ms of propagation: the
+     packet is on link 1-2 from 0.026 s to 0.036 s. *)
+  ignore (Engine.Sim.at sim 0.03 (fun () -> Netsim.Link.set_up cut false));
+  Engine.Sim.run sim ~until:1.;
+  Alcotest.(check int) "delivered over the detour" 1 !received;
+  Alcotest.(check int) "no loop reported" 0
+    (List.length
+       (List.filter (fun ev -> ev.Engine.Trace.cat = "topo") (events ())))
+
+(* --- Teardown cancels in-flight deliveries --------------------------------- *)
 
 let test_dumbbell_teardown () =
   let sim = Engine.Sim.create () in
@@ -228,9 +452,12 @@ let test_topology_teardown () =
   let topo = Netsim.Topology.create rt () in
   let a = Netsim.Topology.add_node topo in
   let b = Netsim.Topology.add_node topo in
-  ignore (Netsim.Topology.add_wire topo ~src:a ~dst:b 0.05);
-  ignore (Netsim.Topology.add_wire topo ~src:b ~dst:a 0.05);
-  Netsim.Topology.add_flow topo ~flow:1 ~src:a ~dst:b;
+  ignore
+    (Netsim.Topology.add_link topo ~src:a ~dst:b
+       (Netsim.Link.create rt ~bandwidth:8e5 ~delay:0.005
+          ~queue:(Netsim.Droptail.create ~limit_pkts:50)
+          ()));
+  Netsim.Topology.add_flow topo ~flow:1 ~src:a ~dst:b 0.05;
   let received = ref 0 in
   Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   ignore
@@ -238,12 +465,41 @@ let test_topology_teardown () =
          Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.)));
   ignore
     (Engine.Sim.at sim 0.01 (fun () ->
-         Alcotest.(check bool) "wire delivery pending" true
+         Alcotest.(check bool) "access delivery pending" true
            (Netsim.Topology.in_flight topo > 0);
          Netsim.Topology.teardown topo));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "cancelled delivery never arrives" 0 !received;
   Alcotest.(check int) "no pending deliveries" 0 (Netsim.Topology.in_flight topo)
+
+(* --- Routing cost does not grow with flows ---------------------------------- *)
+
+(* Flows attach to routers, so the graph stays two routers however many
+   flows join, and the first packet's route computation is the only one:
+   a flow joining mid-run (as web arrivals do) costs no recompute. *)
+let test_attach_keeps_routes () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let db =
+    Netsim.Dumbbell.create rt ~bandwidth:1e7 ~delay:0.005
+      ~queue:(Netsim.Dumbbell.Droptail_q 2000) ()
+  in
+  let topo = Netsim.Dumbbell.topology db in
+  let received = ref 0 in
+  (* Zero access delay: each packet is routed the moment it is sent. *)
+  for flow = 1 to 2000 do
+    Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.01;
+    Netsim.Dumbbell.set_dst_recv db ~flow (fun _ -> incr received);
+    Netsim.Dumbbell.src_sender db ~flow
+      (Netsim.Packet.make rt ~flow ~seq:0 ~size:100 ~now:0. Netsim.Packet.Data)
+  done;
+  Alcotest.(check int) "one route computation" 1 (Netsim.Topology.recomputes topo);
+  Alcotest.(check int) "graph holds only the routers" 2
+    (Netsim.Topology.n_nodes topo);
+  Engine.Sim.run sim ~until:1.;
+  Alcotest.(check int) "every packet delivered" 2000 !received;
+  Alcotest.(check int) "still one route computation" 1
+    (Netsim.Topology.recomputes topo)
 
 (* --- Graph fuzz scenarios --------------------------------------------------- *)
 
@@ -318,13 +574,21 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "fig2-like dumbbell" `Quick test_diff_fig2_dumbbell;
+          Alcotest.test_case "fig2-like dumbbell" `Quick test_golden_fig2_dumbbell;
           Alcotest.test_case "dumbbell link faults" `Quick
-            test_diff_dumbbell_link_faults;
+            test_golden_dumbbell_link_faults;
           Alcotest.test_case "dumbbell handler faults" `Quick
-            test_diff_dumbbell_handler_faults;
-          Alcotest.test_case "path" `Quick test_diff_path;
-          Alcotest.test_case "parking lot" `Quick test_diff_parking_lot;
+            test_golden_dumbbell_handler_faults;
+          Alcotest.test_case "path" `Quick test_golden_path;
+          Alcotest.test_case "parking lot" `Quick test_golden_parking_lot;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "ring+chord graph" `Quick test_golden_ring_chord;
+          Alcotest.test_case "dumbbell, zero access" `Quick test_golden_dumbbell;
+          Alcotest.test_case "transcontinental" `Quick
+            test_golden_transcontinental;
+          Alcotest.test_case "fat tree" `Quick test_golden_fat_tree;
         ] );
       ( "impact",
         [
@@ -333,6 +597,8 @@ let () =
             test_impact_partition_when_detour_dark;
           Alcotest.test_case "recompute on state change" `Quick
             test_recompute_on_state_change;
+          Alcotest.test_case "mid-flight detour is not a loop" `Quick
+            test_midflight_detour_not_a_loop;
         ] );
       ( "lifecycle",
         [
@@ -340,6 +606,8 @@ let () =
           Alcotest.test_case "parking lot teardown" `Quick
             test_parking_lot_teardown;
           Alcotest.test_case "topology teardown" `Quick test_topology_teardown;
+          Alcotest.test_case "2000 flows, one route computation" `Quick
+            test_attach_keeps_routes;
         ] );
       ( "graph-fuzz",
         [

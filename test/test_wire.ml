@@ -436,6 +436,50 @@ let test_loop_guards () =
   Wire.Loop.run loop ~until:2.;
   check Alcotest.(float 0.) "time advanced to until" 2. (Wire.Loop.now loop)
 
+(* select cannot watch a descriptor at or above 1024. Fill every lower
+   slot with duplicates until one lands there; when the process fd limit
+   stops that first, the test is skipped. *)
+let test_loop_rejects_high_fd () =
+  let fd_int (fd : Unix.file_descr) : int = Obj.magic fd in
+  let base = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let dups = ref [] in
+  let rec fill () =
+    match Unix.dup base with
+    | fd ->
+        dups := fd :: !dups;
+        if fd_int fd < 1024 then fill ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ()
+  in
+  fill ();
+  let release () = List.iter Unix.close !dups; Unix.close base in
+  match !dups with
+  | high :: _ when fd_int high >= 1024 ->
+      Fun.protect ~finally:release @@ fun () ->
+      let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+      let expected fd =
+        Invalid_argument
+          (Printf.sprintf
+             "Wire.Loop.watch_fd: descriptor %d is not below select's limit \
+              of 1024"
+             fd)
+      in
+      Alcotest.check_raises "watch rejects the descriptor" (expected (fd_int high))
+        (fun () -> Wire.Loop.watch_fd loop high ~on_readable:ignore);
+      (* Every lower slot is taken, so a new socket lands above 1024 too:
+         Udp.create must refuse it and close it again. *)
+      let probe = Unix.dup base in
+      let next = fd_int probe in
+      Unix.close probe;
+      Alcotest.check_raises "udp create refuses it" (expected next) (fun () ->
+          ignore (Wire.Udp.create loop () : Wire.Udp.t));
+      let probe = Unix.dup base in
+      check Alcotest.int "udp create closed its socket" next (fd_int probe);
+      Unix.close probe;
+      Wire.Loop.run loop ~until:1.
+  | _ ->
+      release ();
+      Alcotest.skip ()
+
 (* --- Sim-vs-wire differential ------------------------------------------- *)
 
 let test_validate_passthrough () =
@@ -869,6 +913,8 @@ let () =
           Alcotest.test_case "warp matches sim" `Quick
             test_warp_matches_sim_order;
           Alcotest.test_case "guards" `Quick test_loop_guards;
+          Alcotest.test_case "descriptors past 1024" `Quick
+            test_loop_rejects_high_fd;
         ] );
       ( "differential",
         [
