@@ -119,37 +119,46 @@ let micro () =
       | _ -> Printf.printf "%-40s (no estimate)\n" name)
     results
 
-(* Trace-layer overhead: the same fig2 staircase run twice, bare and with
-   the invariant checker subscribed to the default bus (so every call site
-   allocates and emits its events). Best-of-3 wall clock keeps scheduler
-   noise out of the ratio; acceptance wants the overhead under ~5%. *)
+(* Trace-layer overhead on network traffic: one 20 s fig6 dumbbell cell
+   (8 TCP Sack + 8 TFRC flows on 15 Mb/s DropTail) run bare and with the
+   invariant checker and a digest sink on the default bus, so every link,
+   TFRC and scheduler event is built, checked and hashed, as in a fuzz
+   case. Best-of-5 wall clock keeps scheduler noise out of the ratio. *)
 let trace_overhead_json () =
+  let runs = 5 in
   let time_run f =
     ignore (f ()) (* warm up allocators and code paths *);
     let best = ref infinity in
-    for _ = 1 to 5 do
+    for _ = 1 to runs do
       let t0 = Unix.gettimeofday () in
       ignore (f ());
       best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
     !best
   in
-  (* A longer run than the figure itself uses: the 16 s staircase finishes
-     in under a millisecond, below timer noise. *)
-  let run () = Exp.Fig2.samples ~duration:240. () in
+  let run () =
+    Exp.Fig6.cell ~queue:`Droptail ~link_mbps:15. ~total_flows:16 ~duration:20. ~seed:1
+  in
   let plain_s = time_run run in
   let checker = Tfrc.Invariants.create () in
+  let digest_sink, digest = Engine.Trace.digest_sink () in
   let bus = Engine.Trace.default () in
   Tfrc.Invariants.attach checker bus;
+  Engine.Trace.add_sink bus digest_sink;
   let checked_s =
-    Fun.protect ~finally:(fun () -> Tfrc.Invariants.detach checker bus)
+    Fun.protect
+      ~finally:(fun () ->
+        Tfrc.Invariants.detach checker bus;
+        Engine.Trace.remove_sink bus digest_sink)
       (fun () -> time_run run)
   in
+  let events = Engine.Trace.digest_events digest / (runs + 1) in
   Printf.sprintf
-    "{\"bench\":\"trace_overhead\",\"scenario\":\"fig2\",\"plain_s\":%.4f,\"checked_s\":%.4f,\"overhead_pct\":%.2f,\"events\":%d,\"violations\":%d}"
+    "{\"bench\":\"trace_overhead\",\"scenario\":\"fig6_15mbps_16flows_20s\",\"plain_s\":%.4f,\"checked_s\":%.4f,\"overhead_pct\":%.2f,\"events\":%d,\"ns_per_event\":%.1f,\"violations\":%d}"
     plain_s checked_s
     ((checked_s -. plain_s) /. plain_s *. 100.)
-    (Tfrc.Invariants.n_events checker)
+    events
+    ((checked_s -. plain_s) *. 1e9 /. float_of_int events)
     (Tfrc.Invariants.n_violations checker)
 
 (* Parallel-runner speedup: wall clock for the whole quick `all` sweep at

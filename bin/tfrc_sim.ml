@@ -572,38 +572,16 @@ let trace_cmd =
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
   in
   let run out duration seed =
-    (* One TFRC + one TCP over a small bottleneck, packet events traced at
-       the congested link in ns-2 format. *)
-    let sim = Engine.Sim.create () in
-    let rng = Engine.Rng.create ~seed in
-    let db =
-      Netsim.Dumbbell.create (Engine.Sim.runtime sim)
-        ~bandwidth:(Engine.Units.mbps 2.)
-        ~delay:0.01
-        ~queue:(Netsim.Dumbbell.Droptail_q 20)
-        ()
+    let oc = open_out out in
+    let lines =
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> Exp.Scenario.ns2_trace ~seed ~duration oc)
     in
-    let tracer = Netsim.Tracer.create (fun () -> Engine.Sim.now sim) in
-    Netsim.Tracer.attach_link tracer (Netsim.Dumbbell.forward_link db);
-    let tcp =
-      Exp.Scenario.attach_tcp db ~flow:1
-        ~rtt_base:(Engine.Rng.uniform rng 0.05 0.07)
-        ~config:Tcpsim.Tcp_common.ns_sack
-    in
-    Tcpsim.Tcp_sender.start tcp.tcp_sender ~at:0.1;
-    let tfrc =
-      Exp.Scenario.attach_tfrc db ~flow:2
-        ~rtt_base:(Engine.Rng.uniform rng 0.05 0.07)
-        ~config:(Tfrc.Tfrc_config.default ())
-    in
-    Tfrc.Tfrc_sender.start tfrc.tfrc_sender ~at:0.;
-    Engine.Sim.run sim ~until:duration;
-    Netsim.Tracer.write tracer out;
     Format.printf
       "wrote %d events to %s (codes: r = delivered by the bottleneck, d = \
        dropped at its queue)@."
-      (Netsim.Tracer.n_events tracer)
-      out
+      lines out
   in
   Cmd.v
     (Cmd.info "trace"

@@ -155,7 +155,7 @@ let create ?trace ?scheduler () =
   in
   (* Marks a fresh virtual clock: observers (e.g. the invariant checker)
      reset per-run state like the time-monotonicity watermark here. *)
-  if Trace.active trace then Trace.emit trace ~time:0. ~cat:"sim" ~name:"created" [];
+  if Trace.active trace then Trace.emit trace ~time:0. Event.Sim_created;
   t
 
 let now t = t.clock
@@ -239,14 +239,12 @@ let maybe_sweep t =
     q_compact t;
     t.cancelled := 0;
     if Trace.active t.trace then
-      Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"sweep"
-        [ ("before", Trace.Int n); ("after", Trace.Int (q_size t)) ]
+      Trace.emit t.trace ~time:t.clock (Event.Sim_sweep { before = n; after = q_size t })
   end
 
 let exhaust t detail =
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"budget_exhausted"
-      [ ("detail", Trace.Str detail) ];
+    Trace.emit t.trace ~time:t.clock (Event.Sim_budget_exhausted { detail });
   raise (Budget_exhausted detail)
 
 let run ?budget t ~until =
@@ -255,8 +253,7 @@ let run ?budget t ~until =
   in
   t.stopping <- false;
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_start"
-      [ ("until", Trace.Float until) ];
+    Trace.emit t.trace ~time:t.clock (Event.Sim_run_start { until });
   let continue = ref true in
   while !continue && not t.stopping do
     maybe_sweep t;
@@ -293,5 +290,4 @@ let run ?budget t ~until =
   done;
   if until < infinity && t.clock < until && not t.stopping then t.clock <- until;
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_end"
-      [ ("pending", Trace.Int (q_size t)) ]
+    Trace.emit t.trace ~time:t.clock (Event.Sim_run_end { pending = q_size t })

@@ -4,15 +4,7 @@
    instrumentation sites guard with [active] and pay one branch when tracing
    is off. *)
 
-type value = Bool of bool | Int of int | Float of float | Str of string
-
-type event = {
-  time : float;
-  cat : string;
-  name : string;
-  fields : (string * value) list;
-}
-
+type event = { time : float; kind : Event.t }
 type sink = { emit : event -> unit; close : unit -> unit }
 
 type t = {
@@ -61,9 +53,9 @@ let rec fanout sinks ev =
       s.emit ev;
       fanout rest ev
 
-let emit t ~time ~cat ~name fields =
+let emit t ~time kind =
   if active t then begin
-    let ev = { time; cat; name; fields } in
+    let ev = { time; kind } in
     t.emitted <- t.emitted + 1;
     if t.ring_cap > 0 then begin
       if t.ring = [||] then t.ring <- Array.make t.ring_cap ev;
@@ -78,95 +70,7 @@ let recent t =
   List.init t.ring_len (fun i ->
       t.ring.((t.ring_pos - t.ring_len + i + (2 * t.ring_cap)) mod t.ring_cap))
 
-(* --- Field access -------------------------------------------------------- *)
-
-(* These scans are on the checker's per-event hot path: [String.equal]
-   (not polymorphic [=], which goes through the generic compare runtime)
-   and a direct default return (no intermediate option allocation). *)
-
-let find ev key =
-  let rec go = function
-    | [] -> None
-    | (k, v) :: rest -> if String.equal k key then Some v else go rest
-  in
-  go ev.fields
-
-let get_float ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then
-          match v with Float f -> f | Int i -> float_of_int i | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-let get_int ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Int i -> i | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-let get_str ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Str s -> s | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-let get_bool ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Bool b -> b | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-(* --- JSON ---------------------------------------------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e999"
-  else if f = Float.neg_infinity then "-1e999"
-  else Printf.sprintf "%.12g" f
-
-let json_value = function
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-let to_json ev =
-  let fields =
-    List.map
-      (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_value v))
-      ev.fields
-  in
-  Printf.sprintf "{\"t\":%s,\"cat\":\"%s\",\"ev\":\"%s\"%s}" (json_float ev.time)
-    (json_escape ev.cat) (json_escape ev.name)
-    (match fields with [] -> "" | l -> "," ^ String.concat "," l)
+let to_json ev = Event.to_json ~time:ev.time ev.kind
 
 (* --- Sinks --------------------------------------------------------------- *)
 
@@ -175,33 +79,132 @@ let memory_sink () =
   ( { emit = (fun ev -> events := ev :: !events); close = ignore },
     fun () -> List.rev !events )
 
-let jsonl_sink oc =
-  {
-    emit =
-      (fun ev ->
-        output_string oc (to_json ev);
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
+let write_json oc ev =
+  output_string oc (to_json ev);
+  output_char oc '\n'
+
+let jsonl_sink oc = { emit = write_json oc; close = (fun () -> flush oc) }
 
 let file_sink path =
   let oc = open_out path in
-  {
-    emit =
-      (fun ev ->
-        output_string oc (to_json ev);
-        output_char oc '\n');
-    close = (fun () -> close_out oc);
-  }
+  { emit = write_json oc; close = (fun () -> close_out oc) }
 
 let stdout_sink () = jsonl_sink stdout
 
-(* FNV-1a over each event's JSON rendering, chained across events. *)
-let digest_sink () =
-  let digest = ref 0x811c9dc5 in
-  let emit ev =
-    String.iter
-      (fun c -> digest := (!digest lxor Char.code c) * 0x100000001b3)
-      (to_json ev)
+let ns2_sink ~link oc =
+  let lines = ref 0 in
+  let line code time ~id ~flow ~seq ~size =
+    incr lines;
+    Printf.fprintf oc "%s %.6f %d %d %d %d\n" code time flow seq size id
   in
-  ({ emit; close = ignore }, fun () -> !digest)
+  let emit { time; kind } =
+    match kind with
+    | Event.Link_deliver { link = l; id; flow; seq; size } when String.equal l link ->
+        line "r" time ~id ~flow ~seq ~size
+    | Event.Link_drop { link = l; id; flow; seq; size; _ } when String.equal l link ->
+        line "d" time ~id ~flow ~seq ~size
+    | _ -> ()
+  in
+  ({ emit; close = (fun () -> flush oc) }, fun () -> !lines)
+
+(* --- Digest -------------------------------------------------------------- *)
+
+let checkpoint_every = 1024
+
+type digest = {
+  mutable value : int;
+  mutable events : int;
+  mutable marks : int array; (* value after every [checkpoint_every] events *)
+  mutable n_marks : int;
+}
+
+let digest_sink () =
+  let d = { value = 0x811c9dc5; events = 0; marks = Array.make 16 0; n_marks = 0 } in
+  let emit ev =
+    d.value <- Event.hash d.value ~time:ev.time ev.kind;
+    d.events <- d.events + 1;
+    if d.events land (checkpoint_every - 1) = 0 then begin
+      if d.n_marks = Array.length d.marks then begin
+        let grown = Array.make (2 * d.n_marks) 0 in
+        Array.blit d.marks 0 grown 0 d.n_marks;
+        d.marks <- grown
+      end;
+      d.marks.(d.n_marks) <- d.value;
+      d.n_marks <- d.n_marks + 1
+    end
+  in
+  ({ emit; close = ignore }, d)
+
+let digest_value d = d.value
+let digest_events d = d.events
+
+type divergence = {
+  index : int;
+  before : event list;
+  a : event option;
+  b : event option;
+}
+
+let event_hash ev = Event.hash 0 ~time:ev.time ev.kind
+
+(* The events of one replayed run whose indices fall in [lo, lo + n). *)
+let window ~lo ~n replay =
+  let got = Array.make n None and i = ref 0 in
+  replay
+    {
+      emit =
+        (fun ev ->
+          let k = !i - lo in
+          if k >= 0 && k < n then got.(k) <- Some ev;
+          incr i);
+      close = ignore;
+    };
+  got
+
+let first_divergence a b ~replay_a ~replay_b =
+  if a.value = b.value && a.events = b.events then None
+  else begin
+    (* The first checkpoint the runs disagree on closes the window that
+       holds the first differing event; with none, it is the window after
+       the last checkpoint both runs reached. *)
+    let common = min a.n_marks b.n_marks in
+    let rec first k = if k < common && a.marks.(k) = b.marks.(k) then first (k + 1) else k in
+    let start = first 0 * checkpoint_every in
+    let lo = max 0 (start - 2) in
+    let n = start - lo + checkpoint_every in
+    let wa = window ~lo ~n replay_a and wb = window ~lo ~n replay_b in
+    let same x y =
+      match (x, y) with
+      | Some x, Some y -> event_hash x = event_hash y
+      | None, None -> true
+      | _ -> false
+    in
+    let rec scan k =
+      if k >= n then None
+      else if same wa.(k) wb.(k) then scan (k + 1)
+      else
+        Some
+          {
+            index = lo + k;
+            before = List.filter_map (fun j -> if j >= 0 then wa.(j) else None) [ k - 2; k - 1 ];
+            a = wa.(k);
+            b = wb.(k);
+          }
+    in
+    scan (start - lo)
+  end
+
+let divergence_report a b ~replay_a ~replay_b =
+  let json = function Some ev -> to_json ev | None -> "(end of run)" in
+  match first_divergence a b ~replay_a ~replay_b with
+  | Some d ->
+      Printf.sprintf "first divergence at event %d: A %s, B %s%s; after %s" d.index
+        (json d.a) (json d.b)
+        (if json d.a = json d.b then " (alike as JSON: a float differs below %.12g)"
+         else "")
+        (match d.before with
+        | [] -> "(start of run)"
+        | l -> String.concat " " (List.map to_json l))
+  | None ->
+      if a.value = b.value && a.events = b.events then "the event streams agree"
+      else "replaying the first differing checkpoint window showed no divergence"

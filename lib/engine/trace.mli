@@ -1,10 +1,10 @@
 (** Structured trace bus.
 
-    Simulation components emit typed events — [(time, category, name,
-    fields)] — onto a bus, which fans them out to pluggable sinks (JSONL
-    file, stdout, in-memory for tests) and optionally keeps the most recent
-    events in a ring buffer. A bus with no sinks and no ring is inactive:
-    [emit] returns immediately, and instrumentation sites guard field-list
+    Simulation components emit typed events — a time and an {!Event.t} —
+    onto a bus, which fans them out to pluggable sinks (JSONL file or
+    stdout, ns-2 packet trace, running digest, in-memory for tests) and
+    optionally keeps the most recent events in a ring buffer. A bus with no sinks and no ring is inactive:
+    [emit] returns immediately, and instrumentation sites guard event
     construction behind {!active}, so tracing costs one branch per site when
     off.
 
@@ -27,14 +27,9 @@
     keep [--trace]/[--check] output identical between sequential and
     parallel runs. *)
 
-type value = Bool of bool | Int of int | Float of float | Str of string
-
-type event = {
-  time : float;  (** virtual time the event was emitted at *)
-  cat : string;  (** component category: "sim", "link", "queue", "fault", "tfrc" *)
-  name : string;  (** event name within the category, e.g. "rate_update" *)
-  fields : (string * value) list;
-}
+(** One emitted event: the virtual time it was emitted at and what
+    happened, in the {!Event} schema. *)
+type event = { time : float; kind : Event.t }
 
 (** A sink receives every event emitted while attached. [close] flushes and
     releases whatever the sink holds; the bus calls it from {!close}. *)
@@ -56,10 +51,9 @@ val default : unit -> t
     configured. Guard event construction with this at hot call sites. *)
 val active : t -> bool
 
-(** [emit t ~time ~cat ~name fields] delivers one event to the ring and all
-    sinks. No-op when the bus is inactive. *)
-val emit :
-  t -> time:float -> cat:string -> name:string -> (string * value) list -> unit
+(** [emit t ~time kind] delivers one event to the ring and all sinks.
+    No-op when the bus is inactive. *)
+val emit : t -> time:float -> Event.t -> unit
 
 val add_sink : t -> sink -> unit
 
@@ -89,20 +83,67 @@ val file_sink : string -> sink
 
 val stdout_sink : unit -> sink
 
-(** [digest_sink ()] is a sink plus a function returning the running
-    digest of everything it has received: FNV-1a over each event's
-    {!to_json} rendering, in emission order. Two runs that emit the same
-    JSONL stream have the same digest. *)
-val digest_sink : unit -> sink * (unit -> int)
+(** [ns2_sink ~link oc] writes an ns-2-style packet trace of the link
+    labelled [link] to [oc]: one line ["<code> <time> <flow> <seq> <size>
+    <id>"] per packet the link delivered (code [r]) or dropped (code [d]),
+    time as [%.6f]. The function returns the number of lines written.
+    [close] flushes but does not close the channel. *)
+val ns2_sink : link:string -> out_channel -> sink * (unit -> int)
 
-(** One-line JSON rendering: [{"t":…,"cat":"…","ev":"…",<fields>}]. NaN
-    renders as [null]. *)
+(** One-line JSON rendering ({!Event.to_json}):
+    [{"t":…,"cat":"…","ev":"…",<fields>}]. *)
 val to_json : event -> string
 
-(** Field accessors; [get_float] also accepts [Int] fields. *)
-val find : event -> string -> value option
+(** {2 Digests}
 
-val get_float : event -> string -> default:float -> float
-val get_int : event -> string -> default:int -> int
-val get_str : event -> string -> default:string -> string
-val get_bool : event -> string -> default:bool -> bool
+    A digest is a running FNV-1a hash of an event stream, mixed field by
+    field ({!Event.hash}) without rendering any text. Its contract:
+    - equal event streams give equal digests. Two runs with equal JSONL
+      streams therefore digest alike, except where a float differs below
+      the [%.12g] precision the JSONL prints;
+    - the digest is finer than the JSONL: it separates float bit patterns
+      that [%.12g] merges, and [0.] from [-0.];
+    - any single changed field, constructor or time changes it, and
+      reordered events change it except by hash collision.
+
+    A digest also records its value after every 1024 events (about 2k
+    ints for a 2M-event run), which lets {!first_divergence} find where
+    two runs part without keeping either run's events. *)
+
+type digest
+
+(** [digest_sink ()] is a sink plus the digest of everything it receives,
+    in emission order. Allocates nothing per event. *)
+val digest_sink : unit -> sink * digest
+
+val digest_value : digest -> int
+
+(** Events digested so far. *)
+val digest_events : digest -> int
+
+type divergence = {
+  index : int;  (** first event (counted from 0) at which the runs differ *)
+  before : event list;  (** up to two events just before [index], run A's *)
+  a : event option;  (** run A's event at [index]; [None]: A had ended *)
+  b : event option;  (** run B's event at [index]; [None]: B had ended *)
+}
+
+(** [first_divergence a b ~replay_a ~replay_b] locates the first event at
+    which the runs that produced digests [a] and [b] differ. [None] when
+    the digests and event counts agree. Otherwise the first checkpoint the
+    digests disagree on bounds a window of 1024 events, and only that
+    window of each run is kept: [replay_a sink] must rerun run A with
+    [sink] seeing its whole stream, and likewise [replay_b]. [None] too if
+    the replays agree within the window, i.e. the difference did not
+    recur. *)
+val first_divergence :
+  digest ->
+  digest ->
+  replay_a:(sink -> unit) ->
+  replay_b:(sink -> unit) ->
+  divergence option
+
+(** The same search rendered for a failure report: the index, both
+    events and the two before them as JSON. *)
+val divergence_report :
+  digest -> digest -> replay_a:(sink -> unit) -> replay_b:(sink -> unit) -> string

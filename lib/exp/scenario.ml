@@ -195,3 +195,31 @@ let normalized_throughputs r =
 let mean = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+
+let ns2_trace ~seed ~duration oc =
+  let bus = Engine.Trace.create () in
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rng = Engine.Rng.create ~seed in
+  let db =
+    Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:(Engine.Units.mbps 2.)
+      ~delay:0.01 ~queue:(Netsim.Dumbbell.Droptail_q 20) ()
+  in
+  let sink, lines =
+    Engine.Trace.ns2_sink ~link:(Netsim.Link.label (Netsim.Dumbbell.forward_link db)) oc
+  in
+  Engine.Trace.add_sink bus sink;
+  let tcp =
+    attach_tcp db ~flow:1
+      ~rtt_base:(Engine.Rng.uniform rng 0.05 0.07)
+      ~config:Tcpsim.Tcp_common.ns_sack
+  in
+  Tcpsim.Tcp_sender.start tcp.tcp_sender ~at:0.1;
+  let tfrc =
+    attach_tfrc db ~flow:2
+      ~rtt_base:(Engine.Rng.uniform rng 0.05 0.07)
+      ~config:(Tfrc.Tfrc_config.default ())
+  in
+  Tfrc.Tfrc_sender.start tfrc.tfrc_sender ~at:0.;
+  Engine.Sim.run sim ~until:duration;
+  Engine.Trace.close bus;
+  lines ()

@@ -83,3 +83,10 @@ val run_mixed : mixed_params -> mixed_result
 val normalized_throughputs : mixed_result -> float list * float list
 
 val mean : float list -> float
+
+(** [ns2_trace ~seed ~duration oc] runs one TCP Sack flow and one TFRC
+    flow over a 2 Mb/s DropTail bottleneck for [duration] simulated
+    seconds and writes the bottleneck's ns-2-style packet trace
+    ({!Engine.Trace.ns2_sink}) to [oc], flushed. Returns the number of
+    lines written. *)
+val ns2_trace : seed:int -> duration:float -> out_channel -> int

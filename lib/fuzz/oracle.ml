@@ -162,7 +162,7 @@ type run_stats = {
   r_failures : verdict list;
   r_events : int;
   r_delivered : int;
-  r_digest : int;
+  r_digest : Engine.Trace.digest;
   r_tail : string list;
 }
 
@@ -399,28 +399,29 @@ let run_once ?sink ~mutate (sc : Scenario.t) =
     r_failures = failures;
     r_events = Engine.Trace.emitted bus;
     r_delivered = !delivered;
-    r_digest = digest ();
+    r_digest = digest;
     r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
   }
 
 let run ?(mutate = false) sc =
   let a = run_once ~mutate sc in
   let b = run_once ~mutate sc in
+  let da = Engine.Trace.digest_value a.r_digest
+  and db = Engine.Trace.digest_value b.r_digest in
   let determinism =
-    if
-      a.r_digest = b.r_digest && a.r_events = b.r_events
-      && a.r_delivered = b.r_delivered
-    then []
+    if da = db && a.r_events = b.r_events && a.r_delivered = b.r_delivered then []
     else
+      let replay sink = ignore (run_once ~sink ~mutate sc : run_stats) in
       [
         {
           oracle = "determinism";
           detail =
             Printf.sprintf
               "run A: %d events, %d delivered, digest %x; run B: %d events, \
-               %d delivered, digest %x"
-              a.r_events a.r_delivered a.r_digest b.r_events b.r_delivered
-              b.r_digest;
+               %d delivered, digest %x; %s"
+              a.r_events a.r_delivered da b.r_events b.r_delivered db
+              (Engine.Trace.divergence_report a.r_digest b.r_digest ~replay_a:replay
+                 ~replay_b:replay);
         };
       ]
   in
@@ -428,7 +429,7 @@ let run ?(mutate = false) sc =
     failures = a.r_failures @ determinism;
     events = a.r_events;
     delivered = a.r_delivered;
-    digest = a.r_digest;
+    digest = da;
     tail = a.r_tail;
   }
 

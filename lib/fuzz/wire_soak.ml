@@ -155,7 +155,7 @@ type run_stats = {
   r_events : int;
   r_delivered : int;
   r_injected : int;
-  r_digest : int;
+  r_digest : Engine.Trace.digest;
   r_counters : string;
   r_tail : string list;
 }
@@ -172,12 +172,13 @@ let soak_sup =
     health_period = 0.05;
   }
 
-let run_once ~mutate (c : case) =
+let run_once ?sink ~mutate (c : case) =
   let bus = Engine.Trace.create ~ring:40 () in
   let checker = Tfrc.Invariants.create () in
   Tfrc.Invariants.attach checker bus;
   let digest_sink, digest = Engine.Trace.digest_sink () in
   Engine.Trace.add_sink bus digest_sink;
+  Option.iter (Engine.Trace.add_sink bus) sink;
   let loop = Wire.Loop.create ~trace:bus ~mode:`Warp () in
   let rt = Wire.Loop.runtime loop in
   let snd_fio =
@@ -505,7 +506,7 @@ let run_once ~mutate (c : case) =
     r_events = Engine.Trace.emitted bus;
     r_delivered = delivered;
     r_injected = injected;
-    r_digest = digest ();
+    r_digest = digest;
     r_counters = counters;
     r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
   }
@@ -525,21 +526,21 @@ type outcome = {
 let run_case ~mutate c =
   let a = run_once ~mutate c in
   let b = run_once ~mutate c in
+  let da = Engine.Trace.digest_value a.r_digest
+  and db = Engine.Trace.digest_value b.r_digest in
   let determinism =
-    if
-      a.r_digest = b.r_digest && a.r_events = b.r_events
-      && a.r_counters = b.r_counters
-    then []
+    if da = db && a.r_events = b.r_events && a.r_counters = b.r_counters then []
     else
+      let replay sink = ignore (run_once ~sink ~mutate c : run_stats) in
       [
         {
           oracle = "determinism";
           detail =
-            Printf.sprintf
-              "run A: %d events, digest %x, {%s}; run B: %d events, digest \
-               %x, {%s}"
-              a.r_events a.r_digest a.r_counters b.r_events b.r_digest
-              b.r_counters;
+            Printf.sprintf "run A: %d events, digest %x, {%s}; run B: %d events, digest \
+               %x, {%s}; %s"
+              a.r_events da a.r_counters b.r_events db b.r_counters
+              (Engine.Trace.divergence_report a.r_digest b.r_digest ~replay_a:replay
+                 ~replay_b:replay);
         };
       ]
   in

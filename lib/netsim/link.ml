@@ -43,22 +43,12 @@ let create rt ?label ~bandwidth ~delay ~queue () =
     outage_drops = 0;
   }
 
-(* Trace instrumentation: [tracing t] is the hot-path guard; [ev] builds and
-   emits, so call sites only allocate field lists when a sink is attached. *)
+(* Trace instrumentation: [tracing t] is the hot-path guard; [ev] emits, so
+   call sites only build events when a sink is attached. *)
 let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
 
-let ev t name fields =
-  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt)
-    ~cat:"link" ~name
-    (("link", Engine.Trace.Str t.label) :: fields)
-
-let pkt_fields (pkt : Packet.t) =
-  [
-    ("id", Engine.Trace.Int pkt.id);
-    ("flow", Engine.Trace.Int pkt.flow);
-    ("seq", Engine.Trace.Int pkt.seq);
-    ("size", Engine.Trace.Int pkt.size);
-  ]
+let ev t kind =
+  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt) kind
 
 (* Snapshot of the queue discipline's conservation counters; the invariant
    checker verifies arrivals = departures + drops + queued exactly on each
@@ -66,20 +56,21 @@ let pkt_fields (pkt : Packet.t) =
 let emit_queue_stats t =
   if tracing t then begin
     let st = t.queue.Queue_disc.stats in
-    ev t "queue"
-      [
-        ("arrivals", Engine.Trace.Int st.arrivals);
-        ("departures", Engine.Trace.Int st.departures);
-        ("drops", Engine.Trace.Int st.drops);
-        ("queued", Engine.Trace.Int (t.queue.Queue_disc.len_pkts ()));
-      ]
+    ev t
+      (Engine.Event.Link_queue
+         {
+           link = t.label;
+           arrivals = st.arrivals;
+           departures = st.departures;
+           drops = st.drops;
+           queued = t.queue.Queue_disc.len_pkts ();
+         })
   end
 
 let set_dest t handler =
   t.dest <- handler;
   t.dest_set <- true
 
-let current_dest t = t.dest
 let on_drop t f = t.drop_listeners <- f :: t.drop_listeners
 let on_state_change t f = t.state_listeners <- f :: t.state_listeners
 let queue t = t.queue
@@ -103,13 +94,18 @@ let utilization t ~duration =
   if duration <= 0. then 0.
   else 8. *. float_of_int t.delivered_bytes /. (t.bandwidth *. duration)
 
-let drop ?(reason = "queue") t pkt =
+let drop ?(reason = Engine.Event.Queue) t (pkt : Packet.t) =
   if tracing t then
-    ev t "drop" (pkt_fields pkt @ [ ("reason", Engine.Trace.Str reason) ]);
+    ev t
+      (Link_drop
+         { link = t.label; id = pkt.id; flow = pkt.flow; seq = pkt.seq; size = pkt.size; reason });
   List.iter (fun f -> f pkt) t.drop_listeners
 
-let deliver t pkt =
-  if tracing t then ev t "deliver" (pkt_fields pkt);
+let deliver t (pkt : Packet.t) =
+  if tracing t then
+    ev t
+      (Link_deliver
+         { link = t.label; id = pkt.id; flow = pkt.flow; seq = pkt.seq; size = pkt.size });
   t.dest pkt
 
 (* Serialize the head-of-line packet; at end of serialization start the next
@@ -134,7 +130,8 @@ let rec start_tx t =
 let set_up t ?(policy = Drop_queued) up =
   if up <> t.up then begin
     t.up <- up;
-    if tracing t then ev t (if up then "up" else "down") [];
+    if tracing t then
+      ev t (if up then Link_up { link = t.label } else Link_down { link = t.label });
     if not up then begin
       (* Packets already serialized are on the wire and still arrive; the
          transmitter stalls at the next head-of-line packet. *)
@@ -148,22 +145,25 @@ let set_up t ?(policy = Drop_queued) up =
              Flowmon and the conservation invariant. *)
           let flushed = t.queue.Queue_disc.drain () in
           t.outage_drops <- t.outage_drops + List.length flushed;
-          List.iter (fun pkt -> drop ~reason:"outage" t pkt) flushed
+          List.iter (fun pkt -> drop ~reason:Outage t pkt) flushed
     end
     else if not t.busy then start_tx t;
     emit_queue_stats t;
     List.iter (fun f -> f up) t.state_listeners
   end
 
-let send t pkt =
+let send t (pkt : Packet.t) =
   if not t.dest_set then
     invalid_arg
       "Link.send: destination not set (call Link.set_dest before sending)";
-  if tracing t then ev t "send" (pkt_fields pkt);
+  if tracing t then
+    ev t
+      (Link_send
+         { link = t.label; id = pkt.id; flow = pkt.flow; seq = pkt.seq; size = pkt.size });
   if not t.up then begin
     (* A down link blackholes at the ingress: no queueing, immediate loss. *)
     t.outage_drops <- t.outage_drops + 1;
-    drop ~reason:"outage" t pkt
+    drop ~reason:Outage t pkt
   end
   else if t.queue.Queue_disc.enqueue pkt then begin
     if not t.busy then start_tx t

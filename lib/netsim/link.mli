@@ -47,9 +47,6 @@ val label : t -> string
 
 val set_dest : t -> Packet.handler -> unit
 
-(** The currently installed destination ([ignore] until set). *)
-val current_dest : t -> Packet.handler
-
 (** [send t pkt] offers the packet to the queue; it is dropped if the
     discipline rejects it or the link is down (drop listeners fire either
     way). Raises [Invalid_argument] if no destination has been installed —

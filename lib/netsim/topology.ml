@@ -220,12 +220,8 @@ let scheduled fi d = d > 0. || fi.always_schedule
 let loop_ev t node (pkt : Packet.t) =
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt) ~cat:"topo" ~name:"loop"
-      [
-        ("node", Engine.Trace.Int node);
-        ("id", Engine.Trace.Int pkt.id);
-        ("flow", Engine.Trace.Int pkt.flow);
-      ]
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt)
+      (Topo_loop { node; id = pkt.id; flow = pkt.flow })
 
 let deliver fi ~fwd pkt = if fwd then fi.dst_recv pkt else fi.src_recv pkt
 

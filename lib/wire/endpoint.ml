@@ -3,9 +3,8 @@
 let trace_decode_error rt err =
   let tr = Engine.Runtime.trace rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) ~cat:"wire"
-      ~name:"decode_error"
-      [ ("error", Engine.Trace.Str (Codec.error_to_string err)) ]
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt)
+      (Wire_decode_error { error = Codec.error_to_string err })
 
 type sender = {
   s_machine : Tfrc.Tfrc_sender.t;

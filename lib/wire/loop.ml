@@ -57,9 +57,9 @@ let create ?trace ?(mode = `Monotonic) () =
     }
   in
   if Engine.Trace.active trace then
-    Engine.Trace.emit trace ~time:0. ~cat:"wire" ~name:"loop_created"
-      [ ("mode", Engine.Trace.Str (match mode with
-          | `Monotonic -> "monotonic" | `Warp -> "warp")) ];
+    Engine.Trace.emit trace ~time:0.
+      (Wire_loop_created
+         { mode = (match mode with `Monotonic -> "monotonic" | `Warp -> "warp") });
   t
 
 let mode t = t.mode
@@ -179,16 +179,15 @@ let maybe_sweep t =
     Engine.Timing_wheel.compact t.timers;
     t.cancelled := 0;
     if Engine.Trace.active t.trace then
-      Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"sweep"
-        [
-          ("before", Engine.Trace.Int n);
-          ("after", Engine.Trace.Int (Engine.Timing_wheel.size t.timers));
-        ]
+      Engine.Trace.emit t.trace ~time:t.vnow
+        (Wire_sweep { before = n; after = Engine.Timing_wheel.size t.timers })
   end
 
 (* Service watched descriptors, sleeping at most [timeout] (0 = poll).
    With nothing watched this is a plain sleep. EINTR is a retry at the
-   caller's next iteration, not an error. *)
+   caller's next iteration, not an error. Handlers fire in watch order:
+   the ready descriptors go into a set, then one pass over the watches
+   tests membership. *)
 let poll_fds t ~timeout =
   t.polls <- t.polls + 1;
   match t.watches with
@@ -196,10 +195,11 @@ let poll_fds t ~timeout =
   | ws -> (
       let fds = List.map (fun w -> w.wfd) ws in
       match Unix.select fds [] [] timeout with
+      | [], _, _ -> ()
       | ready, _, _ ->
-          List.iter
-            (fun w -> if List.mem w.wfd ready then w.on_readable ())
-            ws
+          let set = Hashtbl.create 8 in
+          List.iter (fun fd -> Hashtbl.replace set fd ()) ready;
+          List.iter (fun w -> if Hashtbl.mem set w.wfd then w.on_readable ()) ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 (* Fire the next due timer; true if the queue may hold more work. *)
@@ -241,9 +241,8 @@ let settle_io t =
     if total_inflight t > 0 then begin
       t.io_giveups <- t.io_giveups + 1;
       if Engine.Trace.active t.trace then
-        Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire"
-          ~name:"settle_giveup"
-          [ ("inflight", Engine.Trace.Int (total_inflight t)) ];
+        Engine.Trace.emit t.trace ~time:t.vnow
+          (Wire_settle_giveup { inflight = total_inflight t });
       List.iter (fun r -> r := 0) t.inflight_refs
     end
   end
@@ -302,11 +301,10 @@ let run_monotonic t ~until =
 let run t ~until =
   t.stopping <- false;
   if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:(now t) ~cat:"wire" ~name:"run_start"
-      [ ("until", Engine.Trace.Float until) ];
+    Engine.Trace.emit t.trace ~time:(now t) (Wire_run_start { until });
   (match t.mode with
   | `Warp -> run_warp t ~until
   | `Monotonic -> run_monotonic t ~until);
   if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"run_end"
-      [ ("pending", Engine.Trace.Int (Engine.Timing_wheel.size t.timers)) ]
+    Engine.Trace.emit t.trace ~time:t.vnow
+      (Wire_run_end { pending = Engine.Timing_wheel.size t.timers })

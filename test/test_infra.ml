@@ -1,83 +1,104 @@
 (* Tests for the supporting infrastructure added beyond the paper's core:
-   packet tracer, parking-lot topology, dataset export, application-limited
+   ns-2 packet trace, parking-lot topology, dataset export, application-limited
    TFRC sending with rate validation. *)
-
-let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 
 let pkt_sim = Engine.Sim.create ()
 
 let mk_pkt ?(flow = 1) ~seq () =
   Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow ~seq ~size:1000 ~now:0. Netsim.Packet.Data
 
-(* --- Tracer ----------------------------------------------------------------- *)
+(* --- ns-2 packet trace ---------------------------------------------------------- *)
 
-let test_tracer_records_in_order () =
-  let now = ref 0. in
-  let tr = Netsim.Tracer.create (fun () -> !now) in
-  now := 1.;
-  Netsim.Tracer.record tr Netsim.Tracer.Enqueue (mk_pkt ~seq:1 ());
-  now := 2.;
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~seq:2 ());
-  match Netsim.Tracer.events tr with
-  | [ a; b ] ->
-      checkf "first time" 1. a.Netsim.Tracer.time;
-      Alcotest.(check int) "first seq" 1 a.Netsim.Tracer.seq;
-      checkf "second time" 2. b.Netsim.Tracer.time;
-      Alcotest.(check bool) "kinds" true
-        (a.Netsim.Tracer.kind = Netsim.Tracer.Enqueue
-        && b.Netsim.Tracer.kind = Netsim.Tracer.Receive)
-  | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
+(* Runs [f] with a bus carrying an ns-2 sink for link [link] that writes
+   to a temporary file; returns the file's lines. *)
+let ns2_lines ~link f =
+  let path = Filename.temp_file "ns2" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      let bus = Engine.Trace.create () in
+      let sink, lines = Engine.Trace.ns2_sink ~link oc in
+      Engine.Trace.add_sink bus sink;
+      f bus;
+      Engine.Trace.close bus;
+      close_out oc;
+      let ic = open_in path in
+      let rec read acc =
+        match input_line ic with l -> read (l :: acc) | exception End_of_file -> List.rev acc
+      in
+      let got = read [] in
+      close_in ic;
+      Alcotest.(check int) "line count reported" (List.length got) (lines ());
+      got)
 
-let test_tracer_limit () =
-  let tr = Netsim.Tracer.create ~limit:3 (fun () -> 0.) in
-  for i = 1 to 5 do
-    Netsim.Tracer.record tr Netsim.Tracer.Drop (mk_pkt ~seq:i ())
-  done;
-  Alcotest.(check int) "capped" 3 (Netsim.Tracer.n_events tr);
-  Alcotest.(check bool) "truncation flagged" true (Netsim.Tracer.truncated tr)
+(* The bottleneck trace of [tfrc_sim trace --seed 1] (5 s), recorded from
+   the link-wrapping tracer the ns-2 sink replaced: MD5 of the file and its
+   line count. *)
+let test_ns2_golden () =
+  let path = Filename.temp_file "ns2_golden" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      let lines = Exp.Scenario.ns2_trace ~seed:1 ~duration:5. oc in
+      close_out oc;
+      Alcotest.(check int) "lines" 1218 lines;
+      Alcotest.(check string) "md5" "0150a33c7216c20d8dc7529a90797043"
+        (Digest.to_hex (Digest.file path)))
+
+let pkt_event ?(link = "l0") ~time kind (pkt : Netsim.Packet.t) bus =
+  let open Engine.Event in
+  let { Netsim.Packet.id; flow; seq; size; _ } = pkt in
+  Engine.Trace.emit bus ~time
+    (match kind with
+    | `Send -> Link_send { link; id; flow; seq; size }
+    | `Deliver -> Link_deliver { link; id; flow; seq; size }
+    | `Drop -> Link_drop { link; id; flow; seq; size; reason = Queue })
 
 let test_tracer_filter () =
-  let tr = Netsim.Tracer.create (fun () -> 0.) in
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:1 ~seq:1 ());
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:2 ~seq:2 ());
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:1 ~seq:3 ());
-  Alcotest.(check int) "flow 1 events" 2
-    (List.length (Netsim.Tracer.filter tr ~flow:1))
+  let lines =
+    ns2_lines ~link:"l0" (fun bus ->
+        pkt_event ~time:1. `Send (mk_pkt ~seq:1 ()) bus;
+        pkt_event ~time:1. `Deliver (mk_pkt ~seq:1 ()) bus;
+        pkt_event ~link:"l1" ~time:2. `Deliver (mk_pkt ~seq:2 ()) bus;
+        pkt_event ~link:"l1" ~time:2. `Drop (mk_pkt ~seq:3 ()) bus;
+        Engine.Trace.emit bus ~time:3. (Engine.Event.Queue_sample { len = 4 });
+        pkt_event ~time:4. `Drop (mk_pkt ~seq:4 ()) bus)
+  in
+  Alcotest.(check (list char)) "only l0's deliveries and drops, in order" [ 'r'; 'd' ]
+    (List.map (fun l -> l.[0]) lines)
 
 let test_tracer_attach_link () =
-  let sim = Engine.Sim.create () in
-  let link =
-    Netsim.Link.create (Engine.Sim.runtime sim) ~bandwidth:1e5 ~delay:0.01
-      ~queue:(Netsim.Droptail.create ~limit_pkts:2)
-      ()
-  in
   let received = ref 0 in
-  Netsim.Link.set_dest link (fun _ -> incr received);
-  let tr = Netsim.Tracer.create (fun () -> Engine.Sim.now sim) in
-  Netsim.Tracer.attach_link tr link;
-  ignore
-    (Engine.Sim.at sim 0. (fun () ->
-         for i = 1 to 6 do
-           Netsim.Link.send link (mk_pkt ~seq:i ())
-         done));
-  Engine.Sim.run sim ~until:2.;
-  let events = Netsim.Tracer.events tr in
-  let count k = List.length (List.filter (fun e -> e.Netsim.Tracer.kind = k) events) in
-  Alcotest.(check int) "receives traced" 3 (count Netsim.Tracer.Receive);
-  Alcotest.(check int) "drops traced" 3 (count Netsim.Tracer.Drop);
-  Alcotest.(check int) "original dest still called" 3 !received
+  let lines =
+    ns2_lines ~link:"l0" (fun bus ->
+        let sim = Engine.Sim.create ~trace:bus () in
+        let link =
+          Netsim.Link.create (Engine.Sim.runtime sim) ~label:"l0" ~bandwidth:1e5
+            ~delay:0.01
+            ~queue:(Netsim.Droptail.create ~limit_pkts:2)
+            ()
+        in
+        Netsim.Link.set_dest link (fun _ -> incr received);
+        ignore
+          (Engine.Sim.at sim 0. (fun () ->
+               for i = 1 to 6 do
+                 Netsim.Link.send link (mk_pkt ~seq:i ())
+               done));
+        Engine.Sim.run sim ~until:2.)
+  in
+  let count c = List.length (List.filter (fun l -> l.[0] = c) lines) in
+  Alcotest.(check int) "receives traced" 3 (count 'r');
+  Alcotest.(check int) "drops traced" 3 (count 'd');
+  Alcotest.(check int) "link's own dest still called" 3 !received
 
 let test_tracer_pp () =
-  let tr = Netsim.Tracer.create (fun () -> 1.5) in
-  Netsim.Tracer.record tr Netsim.Tracer.Drop (mk_pkt ~flow:7 ~seq:3 ());
-  match Netsim.Tracer.events tr with
-  | [ e ] ->
-      let s = Format.asprintf "%a" Netsim.Tracer.pp_event e in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace line %S" s)
-        true
-        (String.length s > 0 && s.[0] = 'd')
-  | _ -> Alcotest.fail "expected one event"
+  let pkt = mk_pkt ~flow:7 ~seq:3 () in
+  let lines = ns2_lines ~link:"l0" (pkt_event ~time:1.5 `Drop pkt) in
+  Alcotest.(check (list string)) "ns-2 line"
+    [ Printf.sprintf "d 1.500000 7 3 1000 %d" pkt.Netsim.Packet.id ]
+    lines
 
 (* --- Parking lot --------------------------------------------------------------- *)
 
@@ -405,8 +426,7 @@ let () =
     [
       ( "tracer",
         [
-          Alcotest.test_case "records in order" `Quick test_tracer_records_in_order;
-          Alcotest.test_case "limit" `Quick test_tracer_limit;
+          Alcotest.test_case "ns-2 golden" `Quick test_ns2_golden;
           Alcotest.test_case "filter" `Quick test_tracer_filter;
           Alcotest.test_case "attach link" `Quick test_tracer_attach_link;
           Alcotest.test_case "pp" `Quick test_tracer_pp;

@@ -231,10 +231,9 @@ let trace_jobs =
       Exp.Job.make (Printf.sprintf "trace-test/%d" i) (fun rng ->
           let bus = Engine.Trace.default () in
           let r = Engine.Rng.bits32 rng in
-          Engine.Trace.emit bus ~time:(float_of_int i) ~cat:"test" ~name:"job"
-            [ ("i", Engine.Trace.Int i); ("draw", Engine.Trace.Int r) ];
-          Engine.Trace.emit bus ~time:(float_of_int i +. 0.5) ~cat:"test"
-            ~name:"done" [];
+          Engine.Trace.emit bus ~time:(float_of_int i)
+            (Engine.Event.Sim_sweep { before = i; after = r });
+          Engine.Trace.emit bus ~time:(float_of_int i +. 0.5) Engine.Event.Sim_created;
           [ ("draw", Exp.Job.i r) ]))
 
 let observed ~j =
@@ -313,8 +312,8 @@ let test_trace_replay_on_failure () =
     List.init 4 (fun i ->
         Exp.Job.make (Printf.sprintf "replay-fail/%d" i) (fun _rng ->
             let bus = Engine.Trace.default () in
-            Engine.Trace.emit bus ~time:(float_of_int i) ~cat:"test" ~name:"ran"
-              [ ("i", Engine.Trace.Int i) ];
+            Engine.Trace.emit bus ~time:(float_of_int i)
+              (Engine.Event.Queue_sample { len = i });
             if i = 2 then failwith "kaput";
             [ ("i", Exp.Job.i i) ]))
   in

@@ -127,8 +127,7 @@ let sim_program ~seed ~scheduler =
   let rec fire i () =
     Buffer.add_string log
       (Printf.sprintf "%d@%.9f;" i (Engine.Sim.now sim));
-    Engine.Trace.emit bus ~time:(Engine.Sim.now sim) ~cat:"test" ~name:"fire"
-      [ ("flow", Engine.Trace.Int i) ];
+    Engine.Trace.emit bus ~time:(Engine.Sim.now sim) (Engine.Event.Queue_sample { len = i });
     Engine.Sim.cancel watchdog.(i);
     watchdog.(i) <- Engine.Sim.after sim 1.5 ignore;
     if Engine.Rng.bool rng ~p:0.05 then

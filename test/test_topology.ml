@@ -396,7 +396,10 @@ let test_midflight_detour_not_a_loop () =
   Alcotest.(check int) "delivered over the detour" 1 !received;
   Alcotest.(check int) "no loop reported" 0
     (List.length
-       (List.filter (fun ev -> ev.Engine.Trace.cat = "topo") (events ())))
+       (List.filter
+          (fun ev ->
+            match ev.Engine.Trace.kind with Engine.Event.Topo_loop _ -> true | _ -> false)
+          (events ())))
 
 (* --- Teardown cancels in-flight deliveries --------------------------------- *)
 

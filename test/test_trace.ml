@@ -4,7 +4,7 @@
 let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 let qtest t = QCheck_alcotest.to_alcotest t
 
-let ev ?(time = 0.) cat name fields = { Engine.Trace.time; cat; name; fields }
+let ev ?(time = 0.) kind = { Engine.Trace.time; kind }
 
 (* --- Bus ------------------------------------------------------------------ *)
 
@@ -12,23 +12,22 @@ let test_memory_sink_order () =
   let bus = Engine.Trace.create () in
   let sink, events = Engine.Trace.memory_sink () in
   Engine.Trace.add_sink bus sink;
-  Engine.Trace.emit bus ~time:1. ~cat:"a" ~name:"x" [];
-  Engine.Trace.emit bus ~time:2. ~cat:"b" ~name:"y"
-    [ ("k", Engine.Trace.Int 7) ];
+  Engine.Trace.emit bus ~time:1. Engine.Event.Sim_created;
+  Engine.Trace.emit bus ~time:2. (Engine.Event.Sim_sweep { before = 7; after = 0 });
   let evs = events () in
   Alcotest.(check int) "two events" 2 (List.length evs);
   let e1 = List.nth evs 0 and e2 = List.nth evs 1 in
   checkf "first time" 1. e1.Engine.Trace.time;
-  Alcotest.(check string) "first cat" "a" e1.Engine.Trace.cat;
-  Alcotest.(check string) "second name" "y" e2.Engine.Trace.name;
+  Alcotest.(check (pair string string)) "first kind" ("sim", "created")
+    (Engine.Event.names e1.Engine.Trace.kind);
   Alcotest.(check int) "field survives" 7
-    (Engine.Trace.get_int e2 "k" ~default:0);
+    (match e2.Engine.Trace.kind with Sim_sweep { before; _ } -> before | _ -> 0);
   Alcotest.(check int) "emitted counter" 2 (Engine.Trace.emitted bus)
 
 let test_inactive_bus_noop () =
   let bus = Engine.Trace.create () in
   Alcotest.(check bool) "no sinks: inactive" false (Engine.Trace.active bus);
-  Engine.Trace.emit bus ~time:1. ~cat:"a" ~name:"x" [];
+  Engine.Trace.emit bus ~time:1. Engine.Event.Sim_created;
   Alcotest.(check int) "nothing counted" 0 (Engine.Trace.emitted bus);
   Alcotest.(check (list reject)) "no ring" []
     (List.map (fun _ -> ()) (Engine.Trace.recent bus))
@@ -37,7 +36,7 @@ let test_ring_oldest_first () =
   let bus = Engine.Trace.create ~ring:3 () in
   Alcotest.(check bool) "ring makes bus active" true (Engine.Trace.active bus);
   for i = 1 to 5 do
-    Engine.Trace.emit bus ~time:(float_of_int i) ~cat:"c" ~name:"n" []
+    Engine.Trace.emit bus ~time:(float_of_int i) (Engine.Event.Queue_sample { len = i })
   done;
   let times =
     List.map (fun e -> e.Engine.Trace.time) (Engine.Trace.recent bus)
@@ -46,24 +45,26 @@ let test_ring_oldest_first () =
     [ 3.; 4.; 5. ] times
 
 let test_to_json_exact () =
-  let e =
-    ev ~time:1.5 "link" "drop"
-      [
-        ("link", Engine.Trace.Str "bottleneck-fwd");
-        ("seq", Engine.Trace.Int 42);
-        ("x", Engine.Trace.Float 2.25);
-        ("up", Engine.Trace.Bool false);
-      ]
-  in
+  let json time kind = Engine.Trace.to_json (ev ~time kind) in
   Alcotest.(check string) "json line"
-    "{\"t\":1.5,\"cat\":\"link\",\"ev\":\"drop\",\"link\":\"bottleneck-fwd\",\"seq\":42,\"x\":2.25,\"up\":false}"
-    (Engine.Trace.to_json e);
+    "{\"t\":1.5,\"cat\":\"link\",\"ev\":\"drop\",\"link\":\"bottleneck-fwd\",\"id\":3,\"flow\":1,\"seq\":42,\"size\":1000,\"reason\":\"outage\"}"
+    (json 1.5
+       (Link_drop
+          { link = "bottleneck-fwd"; id = 3; flow = 1; seq = 42; size = 1000; reason = Outage }));
+  Alcotest.(check string) "floats and bools"
+    "{\"t\":0.1,\"cat\":\"tfrc\",\"ev\":\"start\",\"flow\":2,\"rate\":2.25,\"s\":1000,\"min_rate\":0.333333333333,\"rv\":false,\"t_mbi\":1e999}"
+    (json 0.1
+       (Tfrc_start
+          { flow = 2; rate = 2.25; s = 1000.; min_rate = 1. /. 3.; rv = false; t_mbi = infinity }));
   Alcotest.(check string) "no fields"
     "{\"t\":0,\"cat\":\"sim\",\"ev\":\"created\"}"
-    (Engine.Trace.to_json (ev "sim" "created" []));
+    (json 0. Sim_created);
   Alcotest.(check string) "nan renders as null"
-    "{\"t\":0,\"cat\":\"c\",\"ev\":\"n\",\"v\":null}"
-    (Engine.Trace.to_json (ev "c" "n" [ ("v", Engine.Trace.Float Float.nan) ]))
+    "{\"t\":0,\"cat\":\"sim\",\"ev\":\"run_start\",\"until\":null}"
+    (json 0. (Sim_run_start { until = Float.nan }));
+  Alcotest.(check string) "strings escaped"
+    "{\"t\":0,\"cat\":\"sim\",\"ev\":\"budget_exhausted\",\"detail\":\"a\\\"b\\n\\u0001\"}"
+    (json 0. (Sim_budget_exhausted { detail = "a\"b\n\001" }))
 
 let test_file_sink_jsonl () =
   let path = Filename.temp_file "trace_test" ".jsonl" in
@@ -72,9 +73,8 @@ let test_file_sink_jsonl () =
     (fun () ->
       let bus = Engine.Trace.create () in
       Engine.Trace.add_sink bus (Engine.Trace.file_sink path);
-      Engine.Trace.emit bus ~time:0.5 ~cat:"a" ~name:"x"
-        [ ("n", Engine.Trace.Int 1) ];
-      Engine.Trace.emit bus ~time:1.5 ~cat:"a" ~name:"y" [];
+      Engine.Trace.emit bus ~time:0.5 (Engine.Event.Queue_sample { len = 1 });
+      Engine.Trace.emit bus ~time:1.5 Engine.Event.Sim_created;
       Engine.Trace.close bus;
       let ic = open_in path in
       let lines = ref [] in
@@ -86,7 +86,7 @@ let test_file_sink_jsonl () =
       let lines = List.rev !lines in
       Alcotest.(check int) "two lines" 2 (List.length lines);
       Alcotest.(check string) "first line"
-        "{\"t\":0.5,\"cat\":\"a\",\"ev\":\"x\",\"n\":1}" (List.nth lines 0))
+        "{\"t\":0.5,\"cat\":\"queue\",\"ev\":\"sample\",\"len\":1}" (List.nth lines 0))
 
 let test_remove_sink_physical_eq () =
   let bus = Engine.Trace.create () in
@@ -94,9 +94,9 @@ let test_remove_sink_physical_eq () =
   let s2, events2 = Engine.Trace.memory_sink () in
   Engine.Trace.add_sink bus s1;
   Engine.Trace.add_sink bus s2;
-  Engine.Trace.emit bus ~time:1. ~cat:"c" ~name:"n" [];
+  Engine.Trace.emit bus ~time:1. Engine.Event.Sim_created;
   Engine.Trace.remove_sink bus s1;
-  Engine.Trace.emit bus ~time:2. ~cat:"c" ~name:"n" [];
+  Engine.Trace.emit bus ~time:2. Engine.Event.Sim_created;
   Alcotest.(check int) "detached sink stops receiving" 1
     (List.length (events1 ()));
   Alcotest.(check int) "other sink keeps receiving" 2
@@ -104,27 +104,131 @@ let test_remove_sink_physical_eq () =
   Engine.Trace.remove_sink bus s2;
   Alcotest.(check bool) "bus inactive again" false (Engine.Trace.active bus)
 
-let test_accessors () =
-  let e =
-    ev "c" "n"
-      [
-        ("f", Engine.Trace.Float 3.5);
-        ("i", Engine.Trace.Int 9);
-        ("s", Engine.Trace.Str "hello");
-        ("b", Engine.Trace.Bool true);
-      ]
-  in
-  checkf "float field" 3.5 (Engine.Trace.get_float e "f" ~default:0.);
-  checkf "int read as float" 9. (Engine.Trace.get_float e "i" ~default:0.);
-  Alcotest.(check int) "int field" 9 (Engine.Trace.get_int e "i" ~default:0);
-  Alcotest.(check string) "str field" "hello"
-    (Engine.Trace.get_str e "s" ~default:"");
-  Alcotest.(check bool) "bool field" true
-    (Engine.Trace.get_bool e "b" ~default:false);
-  checkf "missing gives default" 7. (Engine.Trace.get_float e "zz" ~default:7.);
-  Alcotest.(check bool) "find present" true
-    (Engine.Trace.find e "s" <> None);
-  Alcotest.(check bool) "find absent" true (Engine.Trace.find e "zz" = None)
+(* --- Digest --------------------------------------------------------------- *)
+
+let digest evs =
+  let sink, d = Engine.Trace.digest_sink () in
+  List.iter sink.Engine.Trace.emit evs;
+  Engine.Trace.digest_value d
+
+let rate_update ?(time = 1.) ?(rate = 1000.) ?(p = 0.01) ?(rtt = 0.1) () =
+  ev ~time
+    (Tfrc_rate_update { flow = 1; rate; prev_rate = 900.; recv_rate = 800.; p; rtt })
+
+let stream () =
+  [
+    ev Engine.Event.Sim_created;
+    rate_update ();
+    ev ~time:2. (Link_send { link = "l0"; id = 1; flow = 1; seq = 0; size = 1000 });
+  ]
+
+let test_digest_equal_streams () =
+  Alcotest.(check int) "same events, same digest" (digest (stream ())) (digest (stream ()));
+  Alcotest.(check bool) "empty differs from non-empty" true
+    (digest [] <> digest (stream ()))
+
+let differs msg a b = Alcotest.(check bool) msg true (digest a <> digest b)
+
+let test_digest_float_bits () =
+  let r = 1000. in
+  differs "one ulp in a float field" [ rate_update ~rate:r () ]
+    [ rate_update ~rate:(Float.succ r) () ];
+  differs "one ulp in the time" [ rate_update ~time:1. () ]
+    [ rate_update ~time:(Float.succ 1.) () ];
+  differs "0. vs -0." [ rate_update ~p:0. () ] [ rate_update ~p:(-0.) () ];
+  (* The JSONL cannot tell these apart; the digest must. *)
+  let a = rate_update ~rate:r () and b = rate_update ~rate:(Float.succ r) () in
+  Alcotest.(check string) "%.12g merges them" (Engine.Trace.to_json a)
+    (Engine.Trace.to_json b)
+
+let test_digest_field_position () =
+  differs "same value in another field"
+    [ rate_update ~p:0.1 ~rtt:0.2 () ]
+    [ rate_update ~p:0.2 ~rtt:0.1 () ];
+  differs "swapped ints" [ ev (Sim_sweep { before = 3; after = 5 }) ]
+    [ ev (Sim_sweep { before = 5; after = 3 }) ]
+
+let test_digest_constructor () =
+  differs "same ints, other constructor" [ ev (Sim_sweep { before = 3; after = 5 }) ]
+    [ ev (Wire_sweep { before = 3; after = 5 }) ];
+  differs "same fields, send vs deliver"
+    [ ev (Link_send { link = "l0"; id = 1; flow = 1; seq = 0; size = 1000 }) ]
+    [ ev (Link_deliver { link = "l0"; id = 1; flow = 1; seq = 0; size = 1000 }) ]
+
+let test_digest_order () =
+  let s = stream () in
+  differs "swapped event order" s (List.rev s)
+
+(* The digest runs on every event of every fuzz case: it must not
+   allocate. *)
+let test_digest_no_alloc () =
+  let sink, d = Engine.Trace.digest_sink () in
+  let evs = Array.of_list (stream ()) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 29_999 do
+    sink.Engine.Trace.emit evs.(i mod 3)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "events digested" 30_000 (Engine.Trace.digest_events d);
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 30k events" words) true (words < 200.)
+
+(* --- First divergence ----------------------------------------------------- *)
+
+(* A 3000-event run closure. Its even-numbered invocations play run B,
+   whose event [bad_at] carries a changed field (or which stops at
+   [bad_at] when [truncate]). *)
+let two_runs ?(truncate = false) ~bad_at () =
+  let calls = ref 0 in
+  fun (sink : Engine.Trace.sink) ->
+    incr calls;
+    let run_b = !calls mod 2 = 0 in
+    let n = if run_b && truncate then bad_at else 3000 in
+    for i = 0 to n - 1 do
+      let len = if run_b && i = bad_at then -1 else i in
+      sink.emit (ev ~time:(float_of_int i) (Queue_sample { len }))
+    done
+
+let diverge ?truncate ~bad_at () =
+  let run = two_runs ?truncate ~bad_at () in
+  let sa, da = Engine.Trace.digest_sink () in
+  run sa;
+  let sb, db = Engine.Trace.digest_sink () in
+  run sb;
+  (da, db, run)
+
+let len_of = function
+  | Some { Engine.Trace.kind = Engine.Event.Queue_sample { len }; _ } -> len
+  | _ -> min_int
+
+let test_first_divergence () =
+  let da, db, run = diverge ~bad_at:1500 () in
+  match Engine.Trace.first_divergence da db ~replay_a:run ~replay_b:run with
+  | None -> Alcotest.fail "divergence not found"
+  | Some d ->
+      Alcotest.(check int) "index" 1500 d.index;
+      Alcotest.(check int) "run A's event" 1500 (len_of d.a);
+      Alcotest.(check int) "run B's event" (-1) (len_of d.b);
+      Alcotest.(check (list int)) "the two before it" [ 1498; 1499 ]
+        (List.map (fun e -> len_of (Some e)) d.before)
+
+let test_divergence_report () =
+  let da, db, run = diverge ~bad_at:1500 () in
+  let report = Engine.Trace.divergence_report da db ~replay_a:run ~replay_b:run in
+  Alcotest.(check bool) report true
+    (Astring.String.is_prefix ~affix:"first divergence at event 1500: A " report)
+
+let test_divergence_shorter_run () =
+  let da, db, run = diverge ~truncate:true ~bad_at:2500 () in
+  match Engine.Trace.first_divergence da db ~replay_a:run ~replay_b:run with
+  | None -> Alcotest.fail "divergence not found"
+  | Some d ->
+      Alcotest.(check int) "index where B ended" 2500 d.index;
+      Alcotest.(check bool) "B has no event there" true (d.b = None)
+
+let test_no_divergence () =
+  let da, db, run = diverge ~bad_at:5000 () in
+  Alcotest.(check bool) "equal runs" true
+    (Engine.Trace.first_divergence da db ~replay_a:run ~replay_b:run = None)
 
 (* --- Sim integration ------------------------------------------------------ *)
 
@@ -135,11 +239,7 @@ let test_sim_lifecycle_events () =
   let sim = Engine.Sim.create ~trace:bus () in
   ignore (Engine.Sim.at sim 1. (fun () -> ()));
   Engine.Sim.run sim ~until:2.;
-  let names =
-    List.map
-      (fun e -> (e.Engine.Trace.cat, e.Engine.Trace.name))
-      (events ())
-  in
+  let names = List.map (fun e -> Engine.Event.names e.Engine.Trace.kind) (events ()) in
   Alcotest.(check bool) "sim/created" true
     (List.mem ("sim", "created") names);
   Alcotest.(check bool) "sim/run_start" true
@@ -148,28 +248,15 @@ let test_sim_lifecycle_events () =
 
 (* --- Invariant checker units ---------------------------------------------- *)
 
-let f x = Engine.Trace.Float x
-let i x = Engine.Trace.Int x
-let b x = Engine.Trace.Bool x
-let s x = Engine.Trace.Str x
-
 (* One-shot per-flow config event: the checker reads s/min_rate/rv/t_mbi
    from this, so every sender-rule test starts with it. *)
 let start_ev ?(time = 0.) ?(flow = 1) ?(rate = 1000.) ?(seg = 1000.)
     ?(min_rate = 100.) ?(rv = true) ?(t_mbi = 64.) () =
-  ev ~time "tfrc" "start"
-    [
-      ("flow", i flow); ("rate", f rate); ("s", f seg);
-      ("min_rate", f min_rate); ("rv", b rv); ("t_mbi", f t_mbi);
-    ]
+  ev ~time (Tfrc_start { flow; rate; s = seg; min_rate; rv; t_mbi })
 
 let rate_update_ev ?(time = 1.) ?(flow = 1) ~rate ~prev_rate ~recv_rate ~p
     ~rtt () =
-  ev ~time "tfrc" "rate_update"
-    [
-      ("flow", i flow); ("rate", f rate); ("prev_rate", f prev_rate);
-      ("recv_rate", f recv_rate); ("p", f p); ("rtt", f rtt);
-    ]
+  ev ~time (Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt })
 
 let test_checker_clean_rate_update () =
   let t = Tfrc.Invariants.create () in
@@ -195,31 +282,8 @@ let test_checker_broken_sender () =
         v.Tfrc.Invariants.rule
   | l -> Alcotest.failf "expected one violation, got %d" (List.length l)
 
-(* Same broken sender, but with the fields in a non-canonical order so the
-   checker's keyed-lookup fallback (not the shape-match fast path) runs. *)
-let test_checker_broken_sender_shuffled_fields () =
-  let t = Tfrc.Invariants.create () in
-  Tfrc.Invariants.check_event t (start_ev ());
-  Tfrc.Invariants.check_event t
-    (ev ~time:1. "tfrc" "rate_update"
-       [
-         ("p", f 0.1); ("rtt", f 0.1); ("rate", f 5000.); ("flow", i 1);
-         ("recv_rate", f 1000.); ("prev_rate", f 1000.);
-       ]);
-  Alcotest.(check bool) "violation via fallback path" false
-    (Tfrc.Invariants.ok t);
-  match Tfrc.Invariants.violations t with
-  | [ v ] ->
-      Alcotest.(check string) "rule name" "sender-rate-bound"
-        v.Tfrc.Invariants.rule
-  | l -> Alcotest.failf "expected one violation, got %d" (List.length l)
-
 let nofb_ev ?(time = 1.) ?(flow = 1) ~rate ~interval ~consecutive () =
-  ev ~time "tfrc" "nofb_expiry"
-    [
-      ("flow", i flow); ("rate", f rate); ("interval", f interval);
-      ("consecutive", i consecutive);
-    ]
+  ev ~time (Tfrc_nofb_expiry { flow; rate; interval; consecutive })
 
 let test_checker_nofb_exceeds_t_mbi () =
   let t = Tfrc.Invariants.create () in
@@ -249,11 +313,7 @@ let test_checker_nofb_below_floor () =
     (Tfrc.Invariants.ok t)
 
 let feedback_ev ?(time = 1.) ?(flow = 1) ~p ~recv_rate ~n_closed ~avg () =
-  ev ~time "tfrc" "feedback"
-    [
-      ("flow", i flow); ("p", f p); ("recv_rate", f recv_rate);
-      ("n_closed", i n_closed); ("avg_interval", f avg);
-    ]
+  ev ~time (Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval = avg })
 
 let test_checker_loss_rate_range () =
   let t = Tfrc.Invariants.create () in
@@ -270,29 +330,29 @@ let test_checker_loss_rate_zero_with_history () =
 
 let test_checker_time_monotone () =
   let t = Tfrc.Invariants.create () in
-  Tfrc.Invariants.check_event t (ev ~time:5. "queue" "sample" []);
-  Tfrc.Invariants.check_event t (ev ~time:4. "queue" "sample" []);
+  Tfrc.Invariants.check_event t (ev ~time:5. (Queue_sample { len = 0 }));
+  Tfrc.Invariants.check_event t (ev ~time:4. (Queue_sample { len = 0 }));
   Alcotest.(check bool) "time going backwards flagged" false
     (Tfrc.Invariants.ok t);
   (* A new simulation resets the watermark: time restarting at 0 after a
      sim/created event is not a violation. *)
   let t2 = Tfrc.Invariants.create () in
-  Tfrc.Invariants.check_event t2 (ev ~time:5. "queue" "sample" []);
-  Tfrc.Invariants.check_event t2 (ev ~time:0. "sim" "created" []);
-  Tfrc.Invariants.check_event t2 (ev ~time:0.5 "queue" "sample" []);
+  Tfrc.Invariants.check_event t2 (ev ~time:5. (Queue_sample { len = 0 }));
+  Tfrc.Invariants.check_event t2 (ev ~time:0. Sim_created);
+  Tfrc.Invariants.check_event t2 (ev ~time:0.5 (Queue_sample { len = 0 }));
   Alcotest.(check bool) "new sim resets watermark" true
     (Tfrc.Invariants.ok t2)
 
 let test_checker_link_conservation () =
   let t = Tfrc.Invariants.create () in
-  let link_ev name =
-    ev ~time:1. "link" name
-      [ ("link", s "l0"); ("flow", i 1); ("seq", i 0); ("size", i 1000) ]
+  let send = ev ~time:1. (Link_send { link = "l0"; id = 1; flow = 1; seq = 0; size = 1000 })
+  and deliver =
+    ev ~time:1. (Link_deliver { link = "l0"; id = 1; flow = 1; seq = 0; size = 1000 })
   in
-  Tfrc.Invariants.check_event t (link_ev "send");
-  Tfrc.Invariants.check_event t (link_ev "deliver");
+  Tfrc.Invariants.check_event t send;
+  Tfrc.Invariants.check_event t deliver;
   Alcotest.(check bool) "balanced link fine" true (Tfrc.Invariants.ok t);
-  Tfrc.Invariants.check_event t (link_ev "deliver");
+  Tfrc.Invariants.check_event t deliver;
   Alcotest.(check bool) "delivery without send flagged" false
     (Tfrc.Invariants.ok t)
 
@@ -300,14 +360,7 @@ let test_checker_queue_conservation () =
   (* link/queue snapshots carry the queue's own counters, which admit an
      exact balance: arrivals = departures + drops + queued. *)
   let queue_ev ~arrivals ~departures ~drops ~queued =
-    ev ~time:1. "link" "queue"
-      [
-        ("link", s "l0");
-        ("arrivals", i arrivals);
-        ("departures", i departures);
-        ("drops", i drops);
-        ("queued", i queued);
-      ]
+    ev ~time:1. (Link_queue { link = "l0"; arrivals; departures; drops; queued })
   in
   let t = Tfrc.Invariants.create () in
   Tfrc.Invariants.check_event t
@@ -377,16 +430,19 @@ let run_dumbbell_checked ~seed ~rogue =
     ignore
       (Engine.Sim.at sim 30. (fun () ->
            let now = Engine.Sim.now sim in
-           Engine.Trace.emit bus ~time:now ~cat:"tfrc" ~name:"start"
-             [
-               ("flow", i 99); ("rate", f 1000.); ("s", f 1000.);
-               ("min_rate", f 100.); ("rv", b true); ("t_mbi", f 64.);
-             ];
-           Engine.Trace.emit bus ~time:now ~cat:"tfrc" ~name:"rate_update"
-             [
-               ("flow", i 99); ("rate", f 5000.); ("prev_rate", f 1000.);
-               ("recv_rate", f 1000.); ("p", f 0.1); ("rtt", f 0.1);
-             ]));
+           Engine.Trace.emit bus ~time:now
+             (Tfrc_start
+                { flow = 99; rate = 1000.; s = 1000.; min_rate = 100.; rv = true; t_mbi = 64. });
+           Engine.Trace.emit bus ~time:now
+             (Tfrc_rate_update
+                {
+                  flow = 99;
+                  rate = 5000.;
+                  prev_rate = 1000.;
+                  recv_rate = 1000.;
+                  p = 0.1;
+                  rtt = 0.1;
+                })));
   Engine.Sim.run sim ~until:60.;
   Tfrc.Invariants.detach checker bus;
   checker
@@ -419,20 +475,17 @@ let test_sampler_traces_and_stops () =
     (Engine.Sim.at sim 0.45 (fun () ->
          Netsim.Flowmon.Queue_sampler.stop sampler));
   Engine.Sim.run sim ~until:1.;
-  let samples =
-    List.filter
-      (fun e ->
-        e.Engine.Trace.cat = "queue" && e.Engine.Trace.name = "sample")
-      (events ())
+  let is_sample e =
+    match e.Engine.Trace.kind with Engine.Event.Queue_sample _ -> true | _ -> false
   in
+  let samples = List.filter is_sample (events ()) in
   Alcotest.(check bool) "t0 sample emitted" true
     (match samples with e :: _ -> e.Engine.Trace.time = 0. | [] -> false);
   (* Samples at 0.0 .. 0.4 only: stop at 0.45 cancels the pending timer. *)
   Alcotest.(check int) "no samples after stop" 5 (List.length samples);
   Engine.Sim.run sim ~until:2.;
   Alcotest.(check int) "still none later" 5
-    (List.length
-       (List.filter (fun e -> e.Engine.Trace.cat = "queue") (events ())))
+    (List.length (List.filter is_sample (events ())))
 
 let () =
   Alcotest.run "trace"
@@ -446,7 +499,20 @@ let () =
           Alcotest.test_case "file sink jsonl" `Quick test_file_sink_jsonl;
           Alcotest.test_case "remove sink physical eq" `Quick
             test_remove_sink_physical_eq;
-          Alcotest.test_case "field accessors" `Quick test_accessors;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "equal streams" `Quick test_digest_equal_streams;
+          Alcotest.test_case "float bits" `Quick test_digest_float_bits;
+          Alcotest.test_case "field position" `Quick test_digest_field_position;
+          Alcotest.test_case "constructor" `Quick test_digest_constructor;
+          Alcotest.test_case "event order" `Quick test_digest_order;
+          Alcotest.test_case "no allocation" `Quick test_digest_no_alloc;
+          Alcotest.test_case "first divergence" `Quick test_first_divergence;
+          Alcotest.test_case "divergence report" `Quick test_divergence_report;
+          Alcotest.test_case "divergence, shorter run" `Quick
+            test_divergence_shorter_run;
+          Alcotest.test_case "no divergence" `Quick test_no_divergence;
         ] );
       ( "sim",
         [
@@ -459,8 +525,6 @@ let () =
             test_checker_clean_rate_update;
           Alcotest.test_case "broken sender caught" `Quick
             test_checker_broken_sender;
-          Alcotest.test_case "broken sender, shuffled fields" `Quick
-            test_checker_broken_sender_shuffled_fields;
           Alcotest.test_case "nofb above t_mbi" `Quick
             test_checker_nofb_exceeds_t_mbi;
           Alcotest.test_case "nofb shrinking backoff" `Quick

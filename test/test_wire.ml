@@ -439,6 +439,33 @@ let test_loop_guards () =
 (* select cannot watch a descriptor at or above 1024. Fill every lower
    slot with duplicates until one lands there; when the process fd limit
    stops that first, the test is skipped. *)
+(* Of five watched pipes only two are readable: exactly their handlers
+   fire, once each, in watch order (the most recently watched first). *)
+let test_loop_fires_ready_only () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let pipes = List.init 5 (fun _ -> Unix.pipe ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (r, w) ->
+          Unix.close r;
+          Unix.close w)
+        pipes)
+    (fun () ->
+      let fired = ref [] in
+      List.iteri
+        (fun i (r, _) ->
+          Wire.Loop.watch_fd loop r ~on_readable:(fun () ->
+              fired := i :: !fired;
+              ignore (Unix.read r (Bytes.create 1) 0 1)))
+        pipes;
+      List.iteri
+        (fun i (_, w) -> if i = 1 || i = 3 then ignore (Unix.write_substring w "x" 0 1))
+        pipes;
+      Wire.Loop.run loop ~until:1.;
+      check Alcotest.(list int) "ready handlers, in watch order" [ 3; 1 ]
+        (List.rev !fired))
+
 let test_loop_rejects_high_fd () =
   let fd_int (fd : Unix.file_descr) : int = Obj.magic fd in
   let base = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -913,6 +940,8 @@ let () =
           Alcotest.test_case "warp matches sim" `Quick
             test_warp_matches_sim_order;
           Alcotest.test_case "guards" `Quick test_loop_guards;
+          Alcotest.test_case "fires ready descriptors only" `Quick
+            test_loop_fires_ready_only;
           Alcotest.test_case "descriptors past 1024" `Quick
             test_loop_rejects_high_fd;
         ] );
