@@ -1,6 +1,8 @@
-(* The trace event schema and the three views derived from it: (cat, name),
-   the JSONL line and the digest. Each view is one match, in constructor
-   order, so a field added to a constructor shows up in all three. *)
+(* The trace event schema and the views derived from it. One table gives
+   each constructor's index (the digest's tag), cat and name; one traversal
+   gives its fields in declaration order under their JSON keys. The JSONL
+   line and the digest both walk that traversal, so they cannot disagree on
+   which fields an event has or in what order. *)
 
 type drop_reason = Queue | Outage
 
@@ -87,40 +89,113 @@ type t =
 
 let reason_name = function Queue -> "queue" | Outage -> "outage"
 
-let names = function
-  | Sim_created -> ("sim", "created")
-  | Sim_sweep _ -> ("sim", "sweep")
-  | Sim_budget_exhausted _ -> ("sim", "budget_exhausted")
-  | Sim_run_start _ -> ("sim", "run_start")
-  | Sim_run_end _ -> ("sim", "run_end")
-  | Link_send _ -> ("link", "send")
-  | Link_deliver _ -> ("link", "deliver")
-  | Link_drop _ -> ("link", "drop")
-  | Link_queue _ -> ("link", "queue")
-  | Link_up _ -> ("link", "up")
-  | Link_down _ -> ("link", "down")
-  | Topo_loop _ -> ("topo", "loop")
-  | Fault_outage_start _ -> ("fault", "outage_start")
-  | Fault_outage_end _ -> ("fault", "outage_end")
-  | Fault_route_change _ -> ("fault", "route_change")
-  | Queue_sample _ -> ("queue", "sample")
-  | Tfrc_start _ -> ("tfrc", "start")
-  | Tfrc_rate_update _ -> ("tfrc", "rate_update")
-  | Tfrc_nofb_expiry _ -> ("tfrc", "nofb_expiry")
-  | Tfrc_feedback _ -> ("tfrc", "feedback")
-  | Exp_job _ -> ("exp", "job")
-  | Exp_report _ -> ("exp", "report")
-  | Wire_loop_created _ -> ("wire", "loop_created")
-  | Wire_sweep _ -> ("wire", "sweep")
-  | Wire_settle_giveup _ -> ("wire", "settle_giveup")
-  | Wire_run_start _ -> ("wire", "run_start")
-  | Wire_run_end _ -> ("wire", "run_end")
-  | Wire_decode_error _ -> ("wire", "decode_error")
-  | Wire_sup_transition _ -> ("wire", "sup_transition")
-  | Wire_rx_error _ -> ("wire", "rx_error")
-  | Wire_tx_drop _ -> ("wire", "tx_drop")
-  | Wire_tx_error _ -> ("wire", "tx_error")
-  | Wire_faultio _ -> ("wire", "faultio")
+let kind = function
+  | Sim_created -> (0, "sim", "created")
+  | Sim_sweep _ -> (1, "sim", "sweep")
+  | Sim_budget_exhausted _ -> (2, "sim", "budget_exhausted")
+  | Sim_run_start _ -> (3, "sim", "run_start")
+  | Sim_run_end _ -> (4, "sim", "run_end")
+  | Link_send _ -> (5, "link", "send")
+  | Link_deliver _ -> (6, "link", "deliver")
+  | Link_drop _ -> (7, "link", "drop")
+  | Link_queue _ -> (8, "link", "queue")
+  | Link_up _ -> (9, "link", "up")
+  | Link_down _ -> (10, "link", "down")
+  | Topo_loop _ -> (11, "topo", "loop")
+  | Fault_outage_start _ -> (12, "fault", "outage_start")
+  | Fault_outage_end _ -> (13, "fault", "outage_end")
+  | Fault_route_change _ -> (14, "fault", "route_change")
+  | Queue_sample _ -> (15, "queue", "sample")
+  | Tfrc_start _ -> (16, "tfrc", "start")
+  | Tfrc_rate_update _ -> (17, "tfrc", "rate_update")
+  | Tfrc_nofb_expiry _ -> (18, "tfrc", "nofb_expiry")
+  | Tfrc_feedback _ -> (19, "tfrc", "feedback")
+  | Exp_job _ -> (20, "exp", "job")
+  | Exp_report _ -> (21, "exp", "report")
+  | Wire_loop_created _ -> (22, "wire", "loop_created")
+  | Wire_sweep _ -> (23, "wire", "sweep")
+  | Wire_settle_giveup _ -> (24, "wire", "settle_giveup")
+  | Wire_run_start _ -> (25, "wire", "run_start")
+  | Wire_run_end _ -> (26, "wire", "run_end")
+  | Wire_decode_error _ -> (27, "wire", "decode_error")
+  | Wire_sup_transition _ -> (28, "wire", "sup_transition")
+  | Wire_rx_error _ -> (29, "wire", "rx_error")
+  | Wire_tx_drop _ -> (30, "wire", "tx_drop")
+  | Wire_tx_error _ -> (31, "wire", "tx_error")
+  | Wire_faultio _ -> (32, "wire", "faultio")
+
+let names ev =
+  let _, cat, name = kind ev in
+  (cat, name)
+
+(* --- Fields -------------------------------------------------------------- *)
+
+(* One callback per field type: key, value, accumulator. *)
+type 'a visitor = {
+  int : string -> int -> 'a -> 'a;
+  float : string -> float -> 'a -> 'a;
+  str : string -> string -> 'a -> 'a;
+  bool : string -> bool -> 'a -> 'a;
+}
+
+let pkt v link id flow seq size acc =
+  acc |> v.str "link" link |> v.int "id" id |> v.int "flow" flow |> v.int "seq" seq
+  |> v.int "size" size
+
+(* Each field of [ev] in declaration order, under its JSON key. *)
+let fields v ev acc =
+  match ev with
+  | Sim_created -> acc
+  | Sim_sweep { before; after } | Wire_sweep { before; after } ->
+      acc |> v.int "before" before |> v.int "after" after
+  | Sim_budget_exhausted { detail } -> acc |> v.str "detail" detail
+  | Sim_run_start { until } | Wire_run_start { until } -> acc |> v.float "until" until
+  | Sim_run_end { pending } | Wire_run_end { pending } -> acc |> v.int "pending" pending
+  | Link_send { link; id; flow; seq; size } | Link_deliver { link; id; flow; seq; size }
+    ->
+      pkt v link id flow seq size acc
+  | Link_drop { link; id; flow; seq; size; reason } ->
+      pkt v link id flow seq size acc |> v.str "reason" (reason_name reason)
+  | Link_queue { link; arrivals; departures; drops; queued } ->
+      acc |> v.str "link" link |> v.int "arrivals" arrivals
+      |> v.int "departures" departures |> v.int "drops" drops |> v.int "queued" queued
+  | Link_up { link } | Link_down { link } | Fault_outage_end { link } ->
+      acc |> v.str "link" link
+  | Topo_loop { node; id; flow } ->
+      acc |> v.int "node" node |> v.int "id" id |> v.int "flow" flow
+  | Fault_outage_start { link; duration } ->
+      acc |> v.str "link" link |> v.float "duration" duration
+  | Fault_route_change { link; bandwidth; delay } ->
+      acc |> v.str "link" link |> v.float "bandwidth" bandwidth |> v.float "delay" delay
+  | Queue_sample { len } -> acc |> v.int "len" len
+  | Tfrc_start { flow; rate; s; min_rate; rv; t_mbi } ->
+      acc |> v.int "flow" flow |> v.float "rate" rate |> v.float "s" s
+      |> v.float "min_rate" min_rate |> v.bool "rv" rv |> v.float "t_mbi" t_mbi
+  | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
+      acc |> v.int "flow" flow |> v.float "rate" rate |> v.float "prev_rate" prev_rate
+      |> v.float "recv_rate" recv_rate |> v.float "p" p |> v.float "rtt" rtt
+  | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
+      acc |> v.int "flow" flow |> v.float "rate" rate |> v.float "interval" interval
+      |> v.int "consecutive" consecutive
+  | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
+      acc |> v.int "flow" flow |> v.float "p" p |> v.float "recv_rate" recv_rate
+      |> v.int "n_closed" n_closed |> v.float "avg_interval" avg_interval
+  | Exp_job { key; status; attempts; wall_s } ->
+      acc |> v.str "key" key |> v.str "status" status |> v.int "attempts" attempts
+      |> v.float "wall_s" wall_s
+  | Exp_report { total; ok; resumed; retried; timed_out; failed; wall_s } ->
+      acc |> v.int "total" total |> v.int "ok" ok |> v.int "resumed" resumed
+      |> v.int "retried" retried |> v.int "timed_out" timed_out |> v.int "failed" failed
+      |> v.float "wall_s" wall_s
+  | Wire_loop_created { mode } -> acc |> v.str "mode" mode
+  | Wire_settle_giveup { inflight } -> acc |> v.int "inflight" inflight
+  | Wire_decode_error { error } -> acc |> v.str "error" error
+  | Wire_sup_transition { flow; from; to_; epoch } ->
+      acc |> v.int "flow" flow |> v.str "from" from |> v.str "to" to_
+      |> v.int "epoch" epoch
+  | Wire_rx_error { errno } | Wire_tx_drop { errno } | Wire_tx_error { errno } ->
+      acc |> v.str "errno" errno
+  | Wire_faultio { op; kind } -> acc |> v.str "op" op |> v.str "kind" kind
 
 (* --- JSON ---------------------------------------------------------------- *)
 
@@ -145,9 +220,40 @@ let add_float b f =
   else Buffer.add_string b (Printf.sprintf "%.12g" f)
 
 (* Keys, cats and names are fixed identifiers that need no escaping. *)
+let add_key b k =
+  Buffer.add_string b ",\"";
+  Buffer.add_string b k;
+  Buffer.add_string b "\":"
+
+let json =
+  {
+    int =
+      (fun k x b ->
+        add_key b k;
+        Buffer.add_string b (string_of_int x);
+        b);
+    float =
+      (fun k x b ->
+        add_key b k;
+        add_float b x;
+        b);
+    str =
+      (fun k x b ->
+        add_key b k;
+        Buffer.add_char b '"';
+        add_escaped b x;
+        Buffer.add_char b '"';
+        b);
+    bool =
+      (fun k x b ->
+        add_key b k;
+        Buffer.add_string b (string_of_bool x);
+        b);
+  }
+
 let to_json ~time ev =
   let b = Buffer.create 160 in
-  let cat, name = names ev in
+  let _, cat, name = kind ev in
   Buffer.add_string b "{\"t\":";
   add_float b time;
   Buffer.add_string b ",\"cat\":\"";
@@ -155,121 +261,7 @@ let to_json ~time ev =
   Buffer.add_string b "\",\"ev\":\"";
   Buffer.add_string b name;
   Buffer.add_char b '"';
-  let key k =
-    Buffer.add_string b ",\"";
-    Buffer.add_string b k;
-    Buffer.add_string b "\":"
-  in
-  let int k v =
-    key k;
-    Buffer.add_string b (string_of_int v)
-  in
-  let float k v =
-    key k;
-    add_float b v
-  in
-  let str k v =
-    key k;
-    Buffer.add_char b '"';
-    add_escaped b v;
-    Buffer.add_char b '"'
-  in
-  let bool k v =
-    key k;
-    Buffer.add_string b (string_of_bool v)
-  in
-  let pkt link id flow seq size =
-    str "link" link;
-    int "id" id;
-    int "flow" flow;
-    int "seq" seq;
-    int "size" size
-  in
-  (match ev with
-  | Sim_created -> ()
-  | Sim_sweep { before; after } | Wire_sweep { before; after } ->
-      int "before" before;
-      int "after" after
-  | Sim_budget_exhausted { detail } -> str "detail" detail
-  | Sim_run_start { until } | Wire_run_start { until } -> float "until" until
-  | Sim_run_end { pending } | Wire_run_end { pending } -> int "pending" pending
-  | Link_send { link; id; flow; seq; size } | Link_deliver { link; id; flow; seq; size }
-    ->
-      pkt link id flow seq size
-  | Link_drop { link; id; flow; seq; size; reason } ->
-      pkt link id flow seq size;
-      str "reason" (reason_name reason)
-  | Link_queue { link; arrivals; departures; drops; queued } ->
-      str "link" link;
-      int "arrivals" arrivals;
-      int "departures" departures;
-      int "drops" drops;
-      int "queued" queued
-  | Link_up { link } | Link_down { link } | Fault_outage_end { link } -> str "link" link
-  | Topo_loop { node; id; flow } ->
-      int "node" node;
-      int "id" id;
-      int "flow" flow
-  | Fault_outage_start { link; duration } ->
-      str "link" link;
-      float "duration" duration
-  | Fault_route_change { link; bandwidth; delay } ->
-      str "link" link;
-      float "bandwidth" bandwidth;
-      float "delay" delay
-  | Queue_sample { len } -> int "len" len
-  | Tfrc_start { flow; rate; s; min_rate; rv; t_mbi } ->
-      int "flow" flow;
-      float "rate" rate;
-      float "s" s;
-      float "min_rate" min_rate;
-      bool "rv" rv;
-      float "t_mbi" t_mbi
-  | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
-      int "flow" flow;
-      float "rate" rate;
-      float "prev_rate" prev_rate;
-      float "recv_rate" recv_rate;
-      float "p" p;
-      float "rtt" rtt
-  | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
-      int "flow" flow;
-      float "rate" rate;
-      float "interval" interval;
-      int "consecutive" consecutive
-  | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
-      int "flow" flow;
-      float "p" p;
-      float "recv_rate" recv_rate;
-      int "n_closed" n_closed;
-      float "avg_interval" avg_interval
-  | Exp_job { key; status; attempts; wall_s } ->
-      str "key" key;
-      str "status" status;
-      int "attempts" attempts;
-      float "wall_s" wall_s
-  | Exp_report { total; ok; resumed; retried; timed_out; failed; wall_s } ->
-      int "total" total;
-      int "ok" ok;
-      int "resumed" resumed;
-      int "retried" retried;
-      int "timed_out" timed_out;
-      int "failed" failed;
-      float "wall_s" wall_s
-  | Wire_loop_created { mode } -> str "mode" mode
-  | Wire_settle_giveup { inflight } -> int "inflight" inflight
-  | Wire_decode_error { error } -> str "error" error
-  | Wire_sup_transition { flow; from; to_; epoch } ->
-      int "flow" flow;
-      str "from" from;
-      str "to" to_;
-      int "epoch" epoch
-  | Wire_rx_error { errno } | Wire_tx_drop { errno } | Wire_tx_error { errno } ->
-      str "errno" errno
-  | Wire_faultio { op; kind } ->
-      str "op" op;
-      str "kind" kind);
-  Buffer.add_char b '}';
+  Buffer.add_char (fields json ev b) '}';
   Buffer.contents b
 
 (* --- Digest -------------------------------------------------------------- *)
@@ -279,8 +271,6 @@ let to_json ~time ev =
    two streams that differ in exactly one mixed word always end in
    different states. *)
 let mix h x = (h lxor x) * 0x100000001b3
-let int x h = mix h x
-let bool x h = mix h (Bool.to_int x)
 
 let mix_float h f =
   let bits = Int64.bits_of_float f in
@@ -288,69 +278,22 @@ let mix_float h f =
     (mix h (Int64.to_int bits land 0xffff_ffff))
     (Int64.to_int (Int64.shift_right_logical bits 32))
 
-let float x h = mix_float h x
-
-let str s h =
+let mix_string h s =
   let h = ref (mix h (String.length s)) in
   for i = 0 to String.length s - 1 do
     h := mix !h (Char.code (String.unsafe_get s i))
   done;
   !h
 
-let pkt link id flow seq size h =
-  h |> str link |> int id |> int flow |> int seq |> int size
+(* Keys are fixed per constructor, so the tag stands for them. *)
+let digest =
+  {
+    int = (fun _ x h -> mix h x);
+    float = (fun _ x h -> mix_float h x);
+    str = (fun _ x h -> mix_string h x);
+    bool = (fun _ x h -> mix h (Bool.to_int x));
+  }
 
-(* The first [int] of each case is the constructor's tag. *)
 let hash h ~time ev =
-  let h = mix_float h time in
-  match ev with
-  | Sim_created -> h |> int 0
-  | Sim_sweep { before; after } -> h |> int 1 |> int before |> int after
-  | Sim_budget_exhausted { detail } -> h |> int 2 |> str detail
-  | Sim_run_start { until } -> h |> int 3 |> float until
-  | Sim_run_end { pending } -> h |> int 4 |> int pending
-  | Link_send { link; id; flow; seq; size } -> h |> int 5 |> pkt link id flow seq size
-  | Link_deliver { link; id; flow; seq; size } ->
-      h |> int 6 |> pkt link id flow seq size
-  | Link_drop { link; id; flow; seq; size; reason } ->
-      h |> int 7 |> pkt link id flow seq size
-      |> int (match reason with Queue -> 0 | Outage -> 1)
-  | Link_queue { link; arrivals; departures; drops; queued } ->
-      h |> int 8 |> str link |> int arrivals |> int departures |> int drops
-      |> int queued
-  | Link_up { link } -> h |> int 9 |> str link
-  | Link_down { link } -> h |> int 10 |> str link
-  | Topo_loop { node; id; flow } -> h |> int 11 |> int node |> int id |> int flow
-  | Fault_outage_start { link; duration } -> h |> int 12 |> str link |> float duration
-  | Fault_outage_end { link } -> h |> int 13 |> str link
-  | Fault_route_change { link; bandwidth; delay } ->
-      h |> int 14 |> str link |> float bandwidth |> float delay
-  | Queue_sample { len } -> h |> int 15 |> int len
-  | Tfrc_start { flow; rate; s; min_rate; rv; t_mbi } ->
-      h |> int 16 |> int flow |> float rate |> float s |> float min_rate |> bool rv
-      |> float t_mbi
-  | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
-      h |> int 17 |> int flow |> float rate |> float prev_rate |> float recv_rate
-      |> float p |> float rtt
-  | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
-      h |> int 18 |> int flow |> float rate |> float interval |> int consecutive
-  | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
-      h |> int 19 |> int flow |> float p |> float recv_rate |> int n_closed
-      |> float avg_interval
-  | Exp_job { key; status; attempts; wall_s } ->
-      h |> int 20 |> str key |> str status |> int attempts |> float wall_s
-  | Exp_report { total; ok; resumed; retried; timed_out; failed; wall_s } ->
-      h |> int 21 |> int total |> int ok |> int resumed |> int retried
-      |> int timed_out |> int failed |> float wall_s
-  | Wire_loop_created { mode } -> h |> int 22 |> str mode
-  | Wire_sweep { before; after } -> h |> int 23 |> int before |> int after
-  | Wire_settle_giveup { inflight } -> h |> int 24 |> int inflight
-  | Wire_run_start { until } -> h |> int 25 |> float until
-  | Wire_run_end { pending } -> h |> int 26 |> int pending
-  | Wire_decode_error { error } -> h |> int 27 |> str error
-  | Wire_sup_transition { flow; from; to_; epoch } ->
-      h |> int 28 |> int flow |> str from |> str to_ |> int epoch
-  | Wire_rx_error { errno } -> h |> int 29 |> str errno
-  | Wire_tx_drop { errno } -> h |> int 30 |> str errno
-  | Wire_tx_error { errno } -> h |> int 31 |> str errno
-  | Wire_faultio { op; kind } -> h |> int 32 |> str op |> str kind
+  let tag, _, _ = kind ev in
+  fields digest ev (mix (mix_float h time) tag)

@@ -2,9 +2,12 @@
 
     Every kind of event a simulation, a wire loop or the experiment runner
     emits onto a {!Trace} bus is one constructor here, with typed fields.
-    The three things derived from an event are each one [match] over this
-    type: its [(cat, name)] pair ({!names}), its JSONL rendering
-    ({!to_json}) and its digest contribution ({!hash}). A new event kind
+    Two [match]es over this type describe an event: one table gives each
+    constructor's index, cat and name, and one traversal visits its fields
+    in declaration order under their JSON keys. Its [(cat, name)] pair
+    ({!names}), its JSONL rendering ({!to_json}) and its digest
+    contribution ({!hash}) are derived from those two, so the JSONL and the
+    digest always see the same fields in the same order. A new event kind
     is a new constructor, and the compiler then points at every place that
     must learn about it.
 
@@ -105,7 +108,7 @@ val names : t -> string * string
 val to_json : time:float -> t -> string
 
 (** [hash h ~time ev] mixes one event into the running FNV-1a state [h]:
-    [time]'s bit pattern, a tag unique to the constructor, then each field
+    [time]'s bit pattern, the constructor's index, then each field
     in declaration order. Ints are mixed whole, floats by their IEEE bit
     pattern (so [0.] and [-0.], or two floats [%.12g] prints alike, mix
     differently), strings by length and then byte by byte. Allocates

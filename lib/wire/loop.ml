@@ -185,9 +185,7 @@ let maybe_sweep t =
 
 (* Service watched descriptors, sleeping at most [timeout] (0 = poll).
    With nothing watched this is a plain sleep. EINTR is a retry at the
-   caller's next iteration, not an error. Handlers fire in watch order:
-   the ready descriptors go into a set, then one pass over the watches
-   tests membership. *)
+   caller's next iteration, not an error. Handlers fire in watch order. *)
 let poll_fds t ~timeout =
   t.polls <- t.polls + 1;
   match t.watches with
@@ -197,9 +195,9 @@ let poll_fds t ~timeout =
       match Unix.select fds [] [] timeout with
       | [], _, _ -> ()
       | ready, _, _ ->
-          let set = Hashtbl.create 8 in
-          List.iter (fun fd -> Hashtbl.replace set fd ()) ready;
-          List.iter (fun w -> if Hashtbl.mem set w.wfd then w.on_readable ()) ws
+          List.iter
+            (fun w -> if List.mem w.wfd ready then w.on_readable ())
+            ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 (* Fire the next due timer; true if the queue may hold more work. *)

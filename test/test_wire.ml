@@ -436,9 +436,6 @@ let test_loop_guards () =
   Wire.Loop.run loop ~until:2.;
   check Alcotest.(float 0.) "time advanced to until" 2. (Wire.Loop.now loop)
 
-(* select cannot watch a descriptor at or above 1024. Fill every lower
-   slot with duplicates until one lands there; when the process fd limit
-   stops that first, the test is skipped. *)
 (* Of five watched pipes only two are readable: exactly their handlers
    fire, once each, in watch order (the most recently watched first). *)
 let test_loop_fires_ready_only () =
@@ -466,6 +463,9 @@ let test_loop_fires_ready_only () =
       check Alcotest.(list int) "ready handlers, in watch order" [ 3; 1 ]
         (List.rev !fired))
 
+(* select cannot watch a descriptor at or above 1024. Fill every lower
+   slot with duplicates until one lands there; when the process fd limit
+   stops that first, the test is skipped. *)
 let test_loop_rejects_high_fd () =
   let fd_int (fd : Unix.file_descr) : int = Obj.magic fd in
   let base = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
